@@ -5,8 +5,9 @@ output is printed to 12 significant digits and is byte-identical across
 runs for identical inputs.
 
 Exit codes: 0 on success, 1 when a domain guard rejects the inputs
-(negative counts, non-isothermal scenarios, enumeration size caps), 2 for
-usage errors and unparseable scenario files.
+(negative counts, non-isothermal scenarios, enumeration size caps,
+numbers beyond floating-point range), 2 for usage errors and scenario
+files that cannot be read or parsed.  Each error is one line on stderr.
 
 Entropy and work outputs are in units of k_B (nats) by default.  Set the
 environment variable MIXENT_KB=si to multiply by the SI Boltzmann
@@ -352,11 +353,14 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
         return 1
 
 

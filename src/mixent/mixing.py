@@ -117,10 +117,12 @@ class Weighting(Enum):
     """How the overlap q scales the inter-species part of mixing entropy.
 
     COMPLEMENT multiplies by (1 - q^2): full mixing entropy at q = 0,
-    none at q = 1, which is the continuous interpolation consistent with
-    the quantum (density-matrix) entropy of combining two overlapping
-    single-particle states.  LITERAL multiplies by q^2 itself and is kept
-    for contrast; it gets the endpoints backwards.
+    none at q = 1, continuous in between.  It is a modelling choice, not
+    the quantum (density-matrix) entropy: a 50/50 mixture of two pure
+    states with |<a|b>|^2 = q has von Neumann entropy H((1 + sqrt q) / 2),
+    which at q = 0.5 is 0.60 of ln 2 where 1 - q^2 gives 0.75 (Allahverdyan
+    & Nieuwenhuizen, PRE 73, 066119, 2006).  LITERAL multiplies by q^2
+    itself and is kept for contrast; it gets the endpoints backwards.
     """
 
     COMPLEMENT = "complement"
@@ -292,8 +294,10 @@ def _effective_overlap(scenario: MixingScenario) -> float:
     species = scenario.species()
     if len(species) == 1:
         return 1.0
+    # built once: pair_overlap scans the whole overlap list on every call
+    table = {o.pair: o.overlap for o in scenario.overlaps}
     values = {
-        scenario.pair_overlap(a, b)
+        table.get(frozenset((a, b)), 0.0)
         for a, b in itertools.combinations(species, 2)
     }
     if len(values) > 1:

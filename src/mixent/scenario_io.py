@@ -200,7 +200,12 @@ def _parse_choice(scalars, key, enum_cls, source):
 def load_scenario(path: str | Path) -> ScenarioFile:
     """Read and parse a scenario file; the default id is the file stem."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(
+            f"not valid UTF-8: {exc.reason} at byte {exc.start}", source=str(path)
+        ) from None
     return parse_scenario(text, source=str(path), default_id=path.stem)
 
 

@@ -16,6 +16,11 @@ tags are kept because they arrive at the expression from different counting
 stories, and reports should say which story was asked for.  ln n! is taken
 under a selectable Stirling form; the two-term form makes the corrected
 entropy exactly extensive.
+
+The level arithmetic is plain ``math`` over Python lists: ensembles are a
+handful to ten thousand levels, where numpy's import costs more than it
+saves.  numpy is imported only inside :func:`occupations` (which returns
+an ndarray) and :func:`gibbs_shannon_entropy`.
 """
 
 from __future__ import annotations
@@ -24,12 +29,13 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .combinatorics import StirlingForm
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CountingModel",
@@ -133,10 +139,21 @@ def _check_temperature(T: float) -> float:
     return T
 
 
-def _level_arrays(levels: tuple[LevelSpec, ...]) -> tuple[np.ndarray, np.ndarray]:
-    energies = np.array([lv.energy for lv in levels], dtype=float)
-    degeneracies = np.array([lv.degeneracy for lv in levels], dtype=float)
-    return energies, degeneracies
+def _weights(levels: tuple[LevelSpec, ...], T: float) -> tuple[float, list[float]]:
+    """(e_min, [g_i exp(-(e_i - e_min) / T)]) for the given levels.
+
+    Shifting by the minimum energy keeps the largest weight at >= 1, so
+    deep levels at tiny T do not underflow everything to zero; weights far
+    above the minimum may underflow to exactly 0.
+    """
+    shift = min(lv.energy for lv in levels)
+    return shift, [lv.degeneracy * math.exp(-(lv.energy - shift) / T) for lv in levels]
+
+
+def _occupations(ensemble: EnsembleSpec) -> list[float]:
+    _, weights = _weights(ensemble.levels, ensemble.T)
+    Z = math.fsum(weights)
+    return [ensemble.N * w / Z for w in weights]
 
 
 def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
@@ -147,10 +164,8 @@ def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     """
     lvls = _as_levels(levels)
     T = _check_temperature(T)
-    energies, degeneracies = _level_arrays(lvls)
-    shift = float(energies.min())
-    weights = degeneracies * np.exp(-(energies - shift) / T)
-    return -shift / T + math.log(float(weights.sum()))
+    shift, weights = _weights(lvls, T)
+    return -shift / T + math.log(math.fsum(weights))
 
 
 def partition_function(levels: Iterable[LevelSpec], T: float) -> float:
@@ -164,17 +179,15 @@ def occupations(ensemble: EnsembleSpec) -> np.ndarray:
     Real-valued ndarray, one entry per level, summing to N.  Computed from
     max-shifted ratios so extreme e/T stay finite.
     """
-    energies, degeneracies = _level_arrays(ensemble.levels)
-    shift = float(energies.min())
-    weights = degeneracies * np.exp(-(energies - shift) / ensemble.T)
-    return ensemble.N * weights / float(weights.sum())
+    import numpy as np
+
+    return np.array(_occupations(ensemble), dtype=float)
 
 
 def internal_energy(ensemble: EnsembleSpec) -> float:
     """U = sum n_i e_i at the most-probable occupations."""
-    energies, _ = _level_arrays(ensemble.levels)
-    n = occupations(ensemble)
-    return float(n @ energies)
+    n = _occupations(ensemble)
+    return math.fsum(n_i * lv.energy for n_i, lv in zip(n, ensemble.levels))
 
 
 def entropy_from_levels(
@@ -192,13 +205,13 @@ def entropy_from_levels(
     """
     if not isinstance(model, CountingModel):
         raise DomainError(f"unknown counting model: {model!r}")
-    _, degeneracies = _level_arrays(ensemble.levels)
-    n = occupations(ensemble)
+    n = _occupations(ensemble)
     f = stirling_form.log_factorial
-    core = 0.0
-    for n_i, g_i in zip(n, degeneracies):
-        if n_i > 0.0:
-            core += n_i * math.log(g_i) - f(n_i)
+    core = math.fsum(
+        n_i * math.log(lv.degeneracy) - f(n_i)
+        for n_i, lv in zip(n, ensemble.levels)
+        if n_i > 0.0
+    )
     if model is CountingModel.DISTINGUISHABLE:
         S = f(float(ensemble.N)) + core
     else:
@@ -271,6 +284,8 @@ def gibbs_shannon_entropy(probabilities: Sequence[float]) -> float:
     nonnegative and sum to 1 within 1e-9; anything else is a DomainError,
     not a silent renormalization.
     """
+    import numpy as np
+
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DomainError("probability vector must be 1-d and non-empty")

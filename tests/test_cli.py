@@ -131,6 +131,14 @@ class TestEntropy:
         )
         assert code == 1
 
+    def test_overflowing_N_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "entropy", "--N", "1" + "0" * 400, "--T", "1", "--V", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_si_units(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXENT_KB", "si")
         code, out, _ = run(
@@ -217,6 +225,21 @@ class TestMix:
             capsys, "mix", "--scenario", str(tmp_path / "nope.scenario")
         )
         assert code == 2
+
+    def test_directory_exit_2(self, capsys):
+        code, out, err = run(capsys, "mix", "--scenario", str(SCENARIO_DIR))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.scenario"
+        bad.write_bytes("compartment = \u00e5 10 1.0 1.0\n".encode("latin-1"))
+        code, out, err = run(capsys, "mix", "--scenario", str(bad))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
 
     def test_si_units_scale_work(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXENT_KB", "si")

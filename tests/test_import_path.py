@@ -1,0 +1,67 @@
+"""numpy stays off the import path: `import mixent` and every CLI subcommand.
+
+Each check runs in a fresh interpreter, because this test process has
+already imported numpy.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mixent
+
+SRC = Path(mixent.__file__).resolve().parents[1]
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "partial_overlap.scenario"
+
+# prints one line per checkpoint: the checkpoint, then whether numpy is loaded
+PROBE = """
+import contextlib, io, sys
+import mixent
+print("import", "numpy" in sys.modules)
+from mixent.cli import main
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print("main", code, "numpy" in sys.modules)
+"""
+
+
+def _probe(*argv: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    return proc.stdout.splitlines()
+
+
+def test_import_mixent_loads_no_numpy():
+    assert _probe() == ["import False"]
+
+
+SUBCOMMANDS = {
+    "count-binomial": ("count", "binomial", "12", "5"),
+    "count-multiplicity": ("count", "multiplicity", "--occ", "2,1", "--deg", "2,1"),
+    "entropy-V": ("entropy", "--N", "100", "--T", "1.0", "--V", "2.0"),
+    "entropy-levels": ("entropy", "--N", "100", "--T", "1.0", "--levels", "0:1,1:2,2.5:3"),
+    "mix-csv": ("mix", "--scenario", str(SCENARIO)),
+    "mix-json": ("mix", "--scenario", str(SCENARIO), "--format", "json"),
+    "sweep-overlap": ("sweep-overlap", "--scenario", str(SCENARIO), "--points", "11"),
+    "oracle-check": ("oracle-check", "--max-n", "2"),
+}
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_loads_no_numpy(name):
+    assert _probe(*SUBCOMMANDS[name]) == ["import False", "main 0 False"]

@@ -304,6 +304,17 @@ class TestMixingEntropy:
                 MixingScenario.from_compartments(comps, overlaps=overlaps)
             )
 
+    def test_unlisted_pair_among_listed_ones_rejected(self):
+        # the unlisted b-c pair counts as q = 0, which disagrees with 0.25
+        comps = tuple(
+            GasCompartment(s, 100, 1.0, 1.0) for s in ("a", "b", "c")
+        )
+        overlaps = (SpeciesOverlap("a", "b", 0.25), SpeciesOverlap("a", "c", 0.25))
+        with pytest.raises(DomainError, match="agree"):
+            mixing_entropy(
+                MixingScenario.from_compartments(comps, overlaps=overlaps)
+            )
+
     def test_unlisted_pair_defaults_to_orthogonal(self):
         a = GasCompartment("a", 500, 0.5, 1.0)
         b = GasCompartment("b", 500, 0.5, 1.0)

@@ -159,6 +159,15 @@ class TestEntropyFromLevels:
             corr = entropy_from_levels(ens, CountingModel.GIBBS_CORRECTED).S
             assert bose == corr
 
+    def test_results_are_builtin_floats(self):
+        ens = EnsembleSpec(levels=TWO_LEVELS, N=1000, T=1.0)
+        for model in CountingModel:
+            r = entropy_from_levels(ens, model)
+            assert type(r.S) is float
+            assert type(r.per_particle) is float
+        assert type(log_partition_function(TWO_LEVELS, 1.0)) is float
+        assert type(internal_energy(ens)) is float
+
     def test_result_tags(self):
         ens = EnsembleSpec(levels=TWO_LEVELS, N=10, T=1.0)
         r = entropy_from_levels(
