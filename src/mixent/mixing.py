@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .combinatorics import StirlingForm
 from .errors import DomainError
-from .statmech import CountingModel, EntropyResult, _ideal_gas_S
+from .statmech import (
+    CountingModel,
+    EntropyResult,
+    _as_positive_count,
+    _ideal_gas_S,
+)
 
 __all__ = [
     "GasCompartment",
@@ -53,16 +57,6 @@ def _check_positive_float(name: str, value: float) -> float:
     return value
 
 
-def _check_positive_int(name: str, value: int) -> int:
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class GasCompartment:
     """One compartment of ideal gas: a species label, N, V, and T."""
@@ -75,7 +69,7 @@ class GasCompartment:
     def __post_init__(self) -> None:
         if not isinstance(self.species, str) or not self.species:
             raise DomainError(f"species must be a non-empty string, got {self.species!r}")
-        object.__setattr__(self, "N", _check_positive_int("N", self.N))
+        object.__setattr__(self, "N", _as_positive_count("N", self.N))
         object.__setattr__(self, "V", _check_positive_float("V", self.V))
         object.__setattr__(self, "T", _check_positive_float("T", self.T))
 
@@ -157,6 +151,7 @@ class MixingScenario:
                 raise DomainError(
                     f"scenario must be isothermal: temperatures {t0!r} and {c.T!r} differ"
                 )
+        _as_positive_count("total particle number", sum(c.N for c in comps))
         v_sum = sum(c.V for c in comps)
         v_fin = _check_positive_float("final_volume", self.final_volume)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
@@ -387,10 +382,10 @@ def partition_change_entropy(
     (1/2) ln(pi N / 2).  The EXACT form requires parts | N so the
     multinomial is a true integer count.
     """
-    N = _check_positive_int("N", N)
+    N = _as_positive_count("N", N)
     V = _check_positive_float("V", V)
     T = _check_positive_float("T", T)
-    parts = _check_positive_int("parts", parts)
+    parts = _as_positive_count("parts", parts)
     if parts < 2:
         raise DomainError(f"parts must be >= 2, got {parts}")
     if parts > N:
@@ -442,7 +437,7 @@ def spin_field_scenario(
     extractable as work T * N ln 2.  The information needed to tell the
     halves apart, not anything mechanical, is what changed.
     """
-    N = _check_positive_int("N", N)
+    N = _as_positive_count("N", N)
     if N % 2 != 0:
         raise DomainError(f"spin scenario splits N in half, so N must be even; got {N}")
     V = _check_positive_float("V", V)

@@ -81,10 +81,44 @@ class EnumerationResult:
     total: int
 
 
-def _cell_of_substate(cells: CellSpec) -> tuple[int, ...]:
+# most suffix keys enumerate_assignments holds at once; bounds its memory
+_SUFFIX_BLOCK = 4096
+
+
+def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
+    """Key weight (N+1)**i of each substate, where i is its cell.
+
+    The key of a configuration is the sum of its substates' weights.  No
+    occupation exceeds N, so the base-(N+1) digits of a key are exactly
+    the occupation vector, with no carries.
+    """
+    base = N + 1
     return tuple(
-        i for i, g in enumerate(cells.degeneracies) for _ in range(g)
+        base**i for i, g in enumerate(cells.degeneracies) for _ in range(g)
     )
+
+
+def _suffix_length(G: int, N: int) -> int:
+    """Largest k <= N with G**k <= _SUFFIX_BLOCK."""
+    k = 0
+    while k < N and G ** (k + 1) <= _SUFFIX_BLOCK:
+        k += 1
+    return k
+
+
+def _decode(
+    tally: Counter[int], N: int, m: int
+) -> dict[OccupationVector, int]:
+    """Turn a key tally back into occupation vectors (base-(N+1) digits)."""
+    base = N + 1
+    grouped = {}
+    for key, count in tally.items():
+        occ = []
+        for _ in range(m):
+            key, n = divmod(key, base)
+            occ.append(n)
+        grouped[OccupationVector(tuple(occ))] = count
+    return grouped
 
 
 def enumerate_assignments(
@@ -93,8 +127,11 @@ def enumerate_assignments(
     """Enumerate every assignment of N labeled particles to substates.
 
     Iterates all (sum g)^N assignments and groups them by the occupation
-    vector they induce on the cells.  Raises OracleSizeError when the
-    assignment count exceeds ASSIGNMENT_GUARD.
+    vector they induce on the cells.  Each assignment is keyed by the sum
+    of its substates' weights (see _substate_weights) and counted once;
+    the last k particles' keys are built once, and each key of the first
+    N - k particles is added to all of them at C speed.  Raises
+    OracleSizeError when the assignment count exceeds ASSIGNMENT_GUARD.
     """
     N = _as_nonnegative("N", N)
     cells = _as_cells(cells)
@@ -105,21 +142,20 @@ def enumerate_assignments(
             f"{G}^{N} = {n_assignments} assignments exceeds the "
             f"enumeration guard {ASSIGNMENT_GUARD}"
         )
-    cell_of = _cell_of_substate(cells)
-    m = len(cells)
-    tally: Counter[tuple[int, ...]] = Counter()
-    for assignment in itertools.product(range(G), repeat=N):
-        occ = [0] * m
-        for substate in assignment:
-            occ[cell_of[substate]] += 1
-        tally[tuple(occ)] += 1
+    weight = _substate_weights(cells, N)
+    k = _suffix_length(G, N)
+    suffix = list(map(sum, itertools.product(weight, repeat=k)))
+    tally: Counter[int] = Counter()
+    for prefix in map(sum, itertools.product(weight, repeat=N - k)):
+        tally.update(map(prefix.__add__, suffix))
     total = sum(tally.values())
     if total != n_assignments:
         raise AssertionError(
             f"enumeration is broken: visited {total} of {n_assignments}"
         )
-    grouped = {OccupationVector(occ): count for occ, count in tally.items()}
-    return EnumerationResult(by_occupation=grouped, total=total)
+    return EnumerationResult(
+        by_occupation=_decode(tally, N, len(cells)), total=total
+    )
 
 
 def enumerate_indistinct(
@@ -128,9 +164,10 @@ def enumerate_indistinct(
     """Enumerate every multiset of substates for N unlabeled particles.
 
     Each distinct multiset (pattern) counts once, matching bosonic state
-    counting.  Raises OracleSizeError when the pattern count exceeds
-    INDISTINCT_GUARD (the guard itself is a size precheck; the reported
-    total still comes from actual iteration).
+    counting; patterns are keyed as in enumerate_assignments.  Raises
+    OracleSizeError when the pattern count exceeds INDISTINCT_GUARD (the
+    guard itself is a size precheck; the reported total still comes from
+    actual iteration).
     """
     N = _as_nonnegative("N", N)
     cells = _as_cells(cells)
@@ -141,18 +178,14 @@ def enumerate_indistinct(
             f"{n_patterns} multiset patterns exceeds the enumeration "
             f"guard {INDISTINCT_GUARD}"
         )
-    cell_of = _cell_of_substate(cells)
-    m = len(cells)
-    tally: Counter[tuple[int, ...]] = Counter()
-    total = 0
-    for pattern in itertools.combinations_with_replacement(range(G), N):
-        occ = [0] * m
-        for substate in pattern:
-            occ[cell_of[substate]] += 1
-        tally[tuple(occ)] += 1
-        total += 1
-    grouped = {OccupationVector(occ): count for occ, count in tally.items()}
-    return EnumerationResult(by_occupation=grouped, total=total)
+    weight = _substate_weights(cells, N)
+    tally = Counter(
+        map(sum, itertools.combinations_with_replacement(weight, N))
+    )
+    return EnumerationResult(
+        by_occupation=_decode(tally, N, len(cells)),
+        total=sum(tally.values()),
+    )
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,24 @@ class CountingModel(Enum):
     BOSE_APPROXIMATE = "bose-approximate"
 
 
+def _as_positive_count(name: str, value: object) -> int:
+    """An integer >= 1 that converts to float (the entropy formulas need it)."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise DomainError(f"{name} must be >= 1, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError(
+            f"{name} must fit a float (at most about 1.8e308), got a "
+            f"{n.bit_length()}-bit integer"
+        ) from None
+    return n
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One energy level: energy in reduced units, integer degeneracy >= 1."""
@@ -100,13 +118,7 @@ class EnsembleSpec:
         if not levels:
             raise DomainError("ensemble needs at least one level")
         object.__setattr__(self, "levels", levels)
-        try:
-            N = operator.index(self.N)
-        except TypeError:
-            raise DomainError(f"N must be an integer, got {self.N!r}") from None
-        if N < 1:
-            raise DomainError(f"N must be >= 1, got {N}")
-        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "N", _as_positive_count("N", self.N))
         T = float(self.T)
         if not (math.isfinite(T) and T > 0):
             raise DomainError(f"T must be finite and > 0, got {self.T!r}")
@@ -261,12 +273,7 @@ def ideal_gas_entropy(
     """
     if not isinstance(model, CountingModel):
         raise DomainError(f"unknown counting model: {model!r}")
-    try:
-        N = operator.index(N)
-    except TypeError:
-        raise DomainError(f"N must be an integer, got {N!r}") from None
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    N = _as_positive_count("N", N)
     V = float(V)
     if not (math.isfinite(V) and V > 0):
         raise DomainError(f"V must be finite and > 0, got {V!r}")

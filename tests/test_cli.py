@@ -241,6 +241,19 @@ class TestMix:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    def test_overflowing_compartment_N_exit_1(self, capsys, tmp_path):
+        big = tmp_path / "big.scenario"
+        big.write_text(
+            "compartment = a 1" + "0" * 400 + " 1.0 1.0\n", encoding="utf-8"
+        )
+        code, out, err = run(capsys, "mix", "--scenario", str(big))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: N must fit a float (at most about 1.8e308), "
+            "got a 1329-bit integer\n"
+        )
+
     def test_si_units_scale_work(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXENT_KB", "si")
         code, out, _ = run(

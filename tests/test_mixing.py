@@ -430,3 +430,21 @@ class TestScenarioValidation:
             GasCompartment("a", 10, -1.0, 1.0)
         with pytest.raises(DomainError):
             GasCompartment("a", 10, 1.0, float("inf"))
+
+    def test_ints_beyond_float_range_rejected(self):
+        GasCompartment("a", 10**308, 1.0, 1.0)
+        with pytest.raises(DomainError, match="fit a float"):
+            GasCompartment("a", 10**400, 1.0, 1.0)
+        with pytest.raises(DomainError, match="fit a float"):
+            partition_change_entropy(
+                10**400, 1.0, 1.0, 2, CountingModel.GIBBS_CORRECTED
+            )
+        with pytest.raises(DomainError, match="fit a float"):
+            spin_field_scenario(10**400, 1.0, 1.0, field_on=True)
+
+    def test_total_beyond_float_range_rejected(self):
+        # each compartment fits a float, their sum does not
+        a = GasCompartment("a", 10**308, 1.0, 1.0)
+        b = GasCompartment("a", 10**308, 1.0, 1.0)
+        with pytest.raises(DomainError, match="total particle number"):
+            MixingScenario(compartments=(a, b), final_volume=2.0)

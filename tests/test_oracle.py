@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 import mixent.combinatorics
+import mixent.oracle
 from mixent.combinatorics import Count, OccupationVector
 from mixent.errors import OracleSizeError
 from mixent.oracle import (
@@ -20,6 +25,49 @@ from mixent.oracle import (
 
 def occ(*counts):
     return OccupationVector(tuple(counts))
+
+
+def naive_tally(configurations, degs):
+    """Per-configuration reference: build each occupation vector by hand."""
+    cell_of = [i for i, g in enumerate(degs) for _ in range(g)]
+    tally = Counter()
+    for configuration in configurations:
+        counts = [0] * len(degs)
+        for substate in configuration:
+            counts[cell_of[substate]] += 1
+        tally[tuple(counts)] += 1
+    grouped = {occ(*counts): n for counts, n in tally.items()}
+    return grouped, sum(tally.values())
+
+
+def naive_assignments(N, degs):
+    return naive_tally(itertools.product(range(sum(degs)), repeat=N), degs)
+
+
+def naive_indistinct(N, degs):
+    return naive_tally(
+        itertools.combinations_with_replacement(range(sum(degs)), N), degs
+    )
+
+
+# every layout of 1-4 cells with degeneracies 1-3, N = 0..7 where G^N <= 50,000
+REFERENCE_LAYOUTS = [
+    degs
+    for m in range(1, 5)
+    for degs in itertools.product((1, 2, 3), repeat=m)
+]
+
+
+def reference_cases(degs):
+    return [N for N in range(8) if sum(degs) ** N <= 50_000]
+
+
+def block_depth(G):
+    """Suffix depth the tally uses before the N cap: largest k, G^k <= 4096."""
+    k = 0
+    while G ** (k + 1) <= 4096:
+        k += 1
+    return k
 
 
 class TestEnumerateAssignments:
@@ -59,6 +107,64 @@ class TestEnumerateAssignments:
         b = enumerate_assignments(4, (2, 2))
         assert a.by_occupation == b.by_occupation
         assert a.total == b.total
+
+
+class TestReferenceEquivalence:
+    def test_sweep_covers_every_block_shape(self):
+        shapes = set()
+        wide = False
+        for degs in REFERENCE_LAYOUTS:
+            G = sum(degs)
+            for N in reference_cases(degs):
+                if G > 1:
+                    k = block_depth(G)
+                    shapes.add("N<k" if N < k else "N=k" if N == k else "N>k")
+                wide = wide or G > N + 1
+        assert shapes == {"N<k", "N=k", "N>k"}
+        assert wide
+
+    @pytest.mark.parametrize("degs", REFERENCE_LAYOUTS, ids=str)
+    def test_matches_per_assignment_loop(self, degs):
+        for N in reference_cases(degs):
+            labeled = enumerate_assignments(N, degs)
+            assert (labeled.by_occupation, labeled.total) == naive_assignments(
+                N, degs
+            ), (N, degs)
+            unlabeled = enumerate_indistinct(N, degs)
+            assert (
+                unlabeled.by_occupation,
+                unlabeled.total,
+            ) == naive_indistinct(N, degs), (N, degs)
+
+
+class TestIndependence:
+    def test_no_closed_form_consulted(self, monkeypatch):
+        expected = naive_assignments(6, (3, 2))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle consulted a closed form")
+
+        for name in ("factorial", "comb", "lgamma"):
+            monkeypatch.setattr(math, name, forbidden)
+        for name in mixent.combinatorics.__all__:
+            if inspect.isfunction(getattr(mixent.combinatorics, name)):
+                monkeypatch.setattr(mixent.combinatorics, name, forbidden)
+                # a name imported into the oracle would dodge the patch above
+                monkeypatch.setattr(mixent.oracle, name, forbidden, raising=False)
+        result = enumerate_assignments(6, (3, 2))
+        assert (result.by_occupation, result.total) == expected
+        assert result.total == 5**6
+
+    def test_tally_memory_is_bounded(self):
+        # 5^9 assignments tallied through a suffix block of at most 4096 keys
+        tracemalloc.start()
+        try:
+            result = enumerate_assignments(9, (3, 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total == 5**9
+        assert peak < 1_000_000
 
 
 class TestEnumerateIndistinct:

@@ -335,3 +335,13 @@ class TestSpecValidation:
             EnsembleSpec(levels=TWO_LEVELS, N=0, T=1.0)
         with pytest.raises(DomainError):
             EnsembleSpec(levels=TWO_LEVELS, N=5, T=-1.0)
+
+    def test_ints_beyond_float_range_rejected(self):
+        # float(10**400) overflows; the validators say so as a DomainError
+        EnsembleSpec(levels=TWO_LEVELS, N=10**308, T=1.0)
+        with pytest.raises(DomainError, match="fit a float"):
+            EnsembleSpec(levels=TWO_LEVELS, N=10**400, T=1.0)
+
+    def test_ideal_gas_entropy_rejects_ints_beyond_float_range(self):
+        with pytest.raises(DomainError, match="fit a float"):
+            ideal_gas_entropy(10**400, 1.0, 1.0, CountingModel.GIBBS_CORRECTED)
