@@ -17,10 +17,12 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Count",
@@ -256,11 +258,13 @@ def multiplicity_distinguishable(
     N = occ.total
     limit = _check_exact_limit(exact_limit)
     if N <= limit:
-        numerator = math.factorial(N)
+        # the multinomial N! / prod(n_i!) as a chain of binomials
+        value = 1
+        prefix = 0
         for n_i, g_i in zip(occ, degs):
-            numerator *= g_i**n_i
-        denominator = math.prod(math.factorial(n_i) for n_i in occ)
-        return Count.from_int(numerator // denominator)
+            prefix += n_i
+            value *= math.comb(prefix, n_i) * g_i**n_i
+        return Count.from_int(value)
     log_value = log_factorial_exact(N) + sum(
         n_i * math.log(g_i) - log_factorial_exact(n_i)
         for n_i, g_i in zip(occ, degs)
@@ -285,12 +289,17 @@ def multiplicity_gibbs_corrected(
     :func:`multiplicity_gibbs_corrected_exact`.
     """
     occ = _as_occupation(occ)
-    dist = multiplicity_distinguishable(occ, degeneracies, exact_limit=exact_limit)
+    degs = _as_degeneracies(degeneracies, len(occ))
+    dist = multiplicity_distinguishable(occ, degs, exact_limit=exact_limit)
     log_value = dist.log_value - log_factorial_exact(occ.total)
     if dist.value is not None:
-        ratio = Fraction(dist.value, math.factorial(occ.total))
-        if ratio.denominator == 1:
-            return Count(log_value=log_value, value=int(ratio))
+        # dist / N! = prod(g_i^n_i) / prod(n_i!), without dividing by N!
+        value, remainder = divmod(
+            math.prod([g_i**n_i for n_i, g_i in zip(occ, degs)]),
+            math.prod([math.factorial(n_i) for n_i in occ]),
+        )
+        if remainder == 0:
+            return Count(log_value=log_value, value=value)
     return Count.log_only(log_value)
 
 
@@ -299,6 +308,8 @@ def multiplicity_gibbs_corrected_exact(
     degeneracies: Sequence[int],
 ) -> Fraction:
     """Exact rational value of the permutation-corrected multiplicity."""
+    from fractions import Fraction  # here only: it loads decimal too
+
     occ = _as_occupation(occ)
     degs = _as_degeneracies(degeneracies, len(occ))
     if occ.total > MAX_EXACT_LIMIT:

@@ -31,6 +31,7 @@ from .statmech import (
     CountingModel,
     EntropyResult,
     _as_positive_count,
+    _check_entropy,
     _ideal_gas_S,
 )
 
@@ -57,7 +58,7 @@ def _check_positive_float(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GasCompartment:
     """One compartment of ideal gas: a species label, N, V, and T."""
 
@@ -66,15 +67,17 @@ class GasCompartment:
     V: float
     T: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.species, str) or not self.species:
-            raise DomainError(f"species must be a non-empty string, got {self.species!r}")
-        object.__setattr__(self, "N", _as_positive_count("N", self.N))
-        object.__setattr__(self, "V", _check_positive_float("V", self.V))
-        object.__setattr__(self, "T", _check_positive_float("T", self.T))
+    def __init__(self, species: str, N: int, V: float, T: float) -> None:
+        if not isinstance(species, str) or not species:
+            raise DomainError(f"species must be a non-empty string, got {species!r}")
+        setfield = object.__setattr__  # frozen: the one way in, once per field
+        setfield(self, "species", species)
+        setfield(self, "N", _as_positive_count("N", N))
+        setfield(self, "V", _check_positive_float("V", V))
+        setfield(self, "T", _check_positive_float("T", T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SpeciesOverlap:
     """Quantum overlap |<a|b>|^2 between the internal states of two species.
 
@@ -86,21 +89,23 @@ class SpeciesOverlap:
     species_b: str
     overlap: float
 
-    def __post_init__(self) -> None:
-        a, b = self.species_a, self.species_b
-        for name in (a, b):
+    def __init__(self, species_a: str, species_b: str, overlap: float) -> None:
+        for name in (species_a, species_b):
             if not isinstance(name, str) or not name:
                 raise DomainError(f"species must be a non-empty string, got {name!r}")
-        if a == b:
-            raise DomainError(f"overlap of species {a!r} with itself is fixed at 1")
-        if b < a:
-            a, b = b, a
-        object.__setattr__(self, "species_a", a)
-        object.__setattr__(self, "species_b", b)
-        q = float(self.overlap)
-        if not (0.0 <= q <= 1.0) or not math.isfinite(q):
-            raise DomainError(f"overlap must lie in [0, 1], got {self.overlap!r}")
-        object.__setattr__(self, "overlap", q)
+        if species_a == species_b:
+            raise DomainError(
+                f"overlap of species {species_a!r} with itself is fixed at 1"
+            )
+        if species_b < species_a:
+            species_a, species_b = species_b, species_a
+        q = float(overlap)
+        if not 0.0 <= q <= 1.0:  # NaN fails the comparison too
+            raise DomainError(f"overlap must lie in [0, 1], got {overlap!r}")
+        setfield = object.__setattr__  # frozen: the one way in, once per field
+        setfield(self, "species_a", species_a)
+        setfield(self, "species_b", species_b)
+        setfield(self, "overlap", q)
 
     @property
     def pair(self) -> frozenset[str]:
@@ -147,12 +152,12 @@ class MixingScenario:
         object.__setattr__(self, "compartments", comps)
         t0 = comps[0].T
         for c in comps[1:]:
-            if not math.isclose(c.T, t0, rel_tol=_REL_TOL):
+            if c.T != t0 and not math.isclose(c.T, t0, rel_tol=_REL_TOL):
                 raise DomainError(
                     f"scenario must be isothermal: temperatures {t0!r} and {c.T!r} differ"
                 )
-        _as_positive_count("total particle number", sum(c.N for c in comps))
-        v_sum = sum(c.V for c in comps)
+        _as_positive_count("total particle number", sum([c.N for c in comps]))
+        v_sum = sum([c.V for c in comps])
         v_fin = _check_positive_float("final_volume", self.final_volume)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
             raise DomainError(
@@ -161,15 +166,14 @@ class MixingScenario:
             )
         object.__setattr__(self, "final_volume", v_fin)
         ovl = tuple(self.overlaps)
-        seen: set[frozenset[str]] = set()
+        seen: set[tuple[str, str]] = set()  # (species_a, species_b), sorted
         for o in ovl:
             if not isinstance(o, SpeciesOverlap):
                 raise DomainError(f"overlaps must be SpeciesOverlap, got {o!r}")
-            if o.pair in seen:
-                raise DomainError(
-                    f"duplicate overlap entry for pair {sorted(o.pair)}"
-                )
-            seen.add(o.pair)
+            pair = (o.species_a, o.species_b)
+            if pair in seen:
+                raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
+            seen.add(pair)
         object.__setattr__(self, "overlaps", ovl)
         if not isinstance(self.model, CountingModel):
             raise DomainError(f"unknown counting model: {self.model!r}")
@@ -289,12 +293,10 @@ def _effective_overlap(scenario: MixingScenario) -> float:
     species = scenario.species()
     if len(species) == 1:
         return 1.0
-    # built once: pair_overlap scans the whole overlap list on every call
-    table = {o.pair: o.overlap for o in scenario.overlaps}
-    values = {
-        table.get(frozenset((a, b)), 0.0)
-        for a, b in itertools.combinations(species, 2)
-    }
+    # built once: pair_overlap scans the whole overlap list on every call.
+    # Keyed like the sorted species pairs that combinations() yields.
+    table = {(o.species_a, o.species_b): o.overlap for o in scenario.overlaps}
+    values = {table.get(pair, 0.0) for pair in itertools.combinations(species, 2)}
     if len(values) > 1:
         raise DomainError(
             "pairwise overlaps must all agree when more than two species mix; "
@@ -319,6 +321,7 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     distinguishable counting the second piece vanishes identically (that
     counting never notices species), which is the paradox: it also never
     pays the price on the first piece, making its total non-extensive.
+    A summed entropy beyond the float range is a DomainError.
     """
     T = scenario.temperature
     model = scenario.model
@@ -340,6 +343,8 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         for n in per_species.values()
     )
     S_final_identical = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
+    for S in (S_initial, S_final_distinct, S_final_identical):
+        _check_entropy(S, N_total)
 
     q = _effective_overlap(scenario)
     delta_identical = S_final_identical - S_initial
@@ -406,6 +411,8 @@ def partition_change_entropy(
     n_part = N / parts
     S_joined = _ideal_gas_S(float(N), V, T, model, stirling_form, 0.0)
     S_parted = parts * _ideal_gas_S(n_part, V / parts, T, model, stirling_form, 0.0)
+    _check_entropy(S_joined, N)
+    _check_entropy(S_parted, N)
 
     if exact_corrected:
         S_i, S_f = S_parted, S_joined

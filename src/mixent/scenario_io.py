@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 from .combinatorics import StirlingForm
 from .errors import ScenarioParseError
@@ -42,6 +43,9 @@ __all__ = ["ScenarioFile", "parse_scenario", "load_scenario", "serialize_scenari
 _SCALAR_KEYS = ("id", "model", "stirling_form", "weighting", "final_volume")
 _LIST_KEYS = ("compartment", "overlap")
 _SPECIES_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
+# what each token of a list value is, for error messages
+_COMPARTMENT_FIELDS = ("species", "N", "V", "T")
+_OVERLAP_FIELDS = ("species", "species", "overlap")
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,16 @@ class ScenarioFile:
 
     id: str
     scenario: MixingScenario
+
+
+def _key_col(key_part: str) -> int:
+    """1-based column of the key on a ``key = value`` line."""
+    return (len(key_part) - len(key_part.lstrip())) + 1
+
+
+def _value_col(key_part: str, value_part: str) -> int:
+    """1-based column of the value on a ``key = value`` line."""
+    return len(key_part) + 1 + (len(value_part) - len(value_part.lstrip())) + 1
 
 
 def _tokens(value_part: str, value_offset: int) -> list[tuple[str, int]]:
@@ -77,56 +91,62 @@ def parse_scenario(
     compartments: list[GasCompartment] = []
     overlaps: list[SpeciesOverlap] = []
 
+    # Columns are worked out only where they are reported: in errors and
+    # for scalar values, which are converted after the loop.
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        if "=" not in raw:
+        key_part, eq, value_part = raw.partition("=")
+        if not eq:
             raise fail("expected 'key = value'", lineno, 1)
-        key_part, _, value_part = raw.partition("=")
         key = key_part.strip()
-        key_col = (len(key_part) - len(key_part.lstrip())) + 1
         if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
-            raise fail(f"unknown key {key!r}", lineno, key_col)
-        value_offset = len(key_part) + 1  # 0-based start of value_part
-        value = value_part.strip()
-        value_col = value_offset + (len(value_part) - len(value_part.lstrip())) + 1
-        if not value:
-            raise fail(f"empty value for key {key!r}", lineno, value_col)
+            raise fail(f"unknown key {key!r}", lineno, _key_col(key_part))
+        toks = value_part.split()
+        if not toks:
+            raise fail(
+                f"empty value for key {key!r}", lineno, _value_col(key_part, value_part)
+            )
 
         if key in _SCALAR_KEYS:
             if key in scalars:
-                raise fail(f"duplicate key {key!r}", lineno, key_col)
-            scalars[key] = (value, lineno, value_col)
-            continue
-
-        toks = _tokens(value_part, value_offset)
-        if key == "compartment":
+                raise fail(f"duplicate key {key!r}", lineno, _key_col(key_part))
+            value_col = _value_col(key_part, value_part)
+            scalars[key] = (value_part.strip(), lineno, value_col)
+        elif key == "compartment":
             if len(toks) != 4:
                 raise fail(
                     f"compartment needs '<species> <N> <V> <T>', got {len(toks)} tokens",
                     lineno,
-                    value_col,
+                    _value_col(key_part, value_part),
                 )
-            (species, s_col), (n_tok, n_col), (v_tok, v_col), (t_tok, t_col) = toks
-            if not _SPECIES_RE.match(species):
-                raise fail(f"invalid species token {species!r}", lineno, s_col)
-            n = _parse_int(n_tok, fail, lineno, n_col, "N")
-            v = _parse_float(v_tok, fail, lineno, v_col, "V")
-            t = _parse_float(t_tok, fail, lineno, t_col, "T")
+            species, n, v, t = toks
+            try:
+                if _SPECIES_RE.match(species) is None:
+                    raise ValueError(species)
+                n, v, t = int(n), float(v), float(t)
+            except ValueError:
+                _raise_token_error(
+                    key_part, value_part, _COMPARTMENT_FIELDS, fail, lineno
+                )
             compartments.append(GasCompartment(species, n, v, t))
         else:  # overlap
             if len(toks) != 3:
                 raise fail(
                     f"overlap needs '<species_a> <species_b> <q>', got {len(toks)} tokens",
                     lineno,
-                    value_col,
+                    _value_col(key_part, value_part),
                 )
-            (a, a_col), (b, b_col), (q_tok, q_col) = toks
-            for name, col in ((a, a_col), (b, b_col)):
-                if not _SPECIES_RE.match(name):
-                    raise fail(f"invalid species token {name!r}", lineno, col)
-            q = _parse_float(q_tok, fail, lineno, q_col, "overlap")
+            a, b, q = toks
+            try:
+                if _SPECIES_RE.match(a) is None or _SPECIES_RE.match(b) is None:
+                    raise ValueError(a, b)
+                q = float(q)
+            except ValueError:
+                _raise_token_error(
+                    key_part, value_part, _OVERLAP_FIELDS, fail, lineno
+                )
             overlaps.append(SpeciesOverlap(a, b, q))
 
     if not compartments:
@@ -160,6 +180,25 @@ def parse_scenario(
 
     scenario_id = scalars["id"][0] if "id" in scalars else default_id
     return ScenarioFile(id=scenario_id, scenario=scenario)
+
+
+def _raise_token_error(key_part, value_part, fields, fail, lineno) -> NoReturn:
+    """Raise the error for the first bad token of a list value, with its column.
+
+    The parse splits values without tracking columns; only when a token
+    fails to convert is its line scanned again for them.  ``fields`` names
+    what each token is: "species", "N", or a number's label.
+    """
+    value_offset = len(key_part) + 1  # 0-based start of value_part
+    for (token, col), field in zip(_tokens(value_part, value_offset), fields):
+        if field == "species":
+            if _SPECIES_RE.match(token) is None:
+                raise fail(f"invalid species token {token!r}", lineno, col) from None
+        elif field == "N":
+            _parse_int(token, fail, lineno, col, field)
+        else:
+            _parse_float(token, fail, lineno, col, field)
+    raise AssertionError("no bad token in a value that failed to convert")
 
 
 def _parse_int(token, fail, lineno, col, what):

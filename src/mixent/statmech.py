@@ -79,27 +79,28 @@ def _as_positive_count(name: str, value: object) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LevelSpec:
     """One energy level: energy in reduced units, integer degeneracy >= 1."""
 
     energy: float
     degeneracy: int = 1
 
-    def __post_init__(self) -> None:
-        energy = float(self.energy)
-        if not math.isfinite(energy):
-            raise DomainError(f"level energy must be finite, got {self.energy!r}")
-        object.__setattr__(self, "energy", energy)
+    def __init__(self, energy: float, degeneracy: int = 1) -> None:
+        e = float(energy)
+        if not math.isfinite(e):
+            raise DomainError(f"level energy must be finite, got {energy!r}")
         try:
-            degeneracy = operator.index(self.degeneracy)
+            g = operator.index(degeneracy)
         except TypeError:
             raise DomainError(
-                f"degeneracy must be an integer, got {self.degeneracy!r}"
+                f"degeneracy must be an integer, got {degeneracy!r}"
             ) from None
-        if degeneracy < 1:
-            raise DomainError(f"degeneracy must be >= 1, got {degeneracy}")
-        object.__setattr__(self, "degeneracy", degeneracy)
+        if g < 1:
+            raise DomainError(f"degeneracy must be >= 1, got {g}")
+        setfield = object.__setattr__  # frozen: the one way in, once per field
+        setfield(self, "energy", e)
+        setfield(self, "degeneracy", g)
 
 
 @dataclass(frozen=True)
@@ -151,21 +152,28 @@ def _check_temperature(T: float) -> float:
     return T
 
 
-def _weights(levels: tuple[LevelSpec, ...], T: float) -> tuple[float, list[float]]:
-    """(e_min, [g_i exp(-(e_i - e_min) / T)]) for the given levels.
+def _weights(
+    energies: list[float], degs: list[int], T: float
+) -> tuple[float, list[float]]:
+    """(e_min, [g_i exp(-(e_i - e_min) / T)]) for levels given as columns.
 
     Shifting by the minimum energy keeps the largest weight at >= 1, so
     deep levels at tiny T do not underflow everything to zero; weights far
     above the minimum may underflow to exactly 0.
     """
-    shift = min(lv.energy for lv in levels)
-    return shift, [lv.degeneracy * math.exp(-(lv.energy - shift) / T) for lv in levels]
+    shift = min(energies)
+    exp = math.exp
+    return shift, [g * exp(-(e - shift) / T) for e, g in zip(energies, degs)]
 
 
-def _occupations(ensemble: EnsembleSpec) -> list[float]:
-    _, weights = _weights(ensemble.levels, ensemble.T)
+def _occupations(ensemble: EnsembleSpec) -> tuple[list[float], list[int]]:
+    """The occupations n_i and the degeneracies g_i, level by level."""
+    levels = ensemble.levels
+    degs = [lv.degeneracy for lv in levels]
+    _, weights = _weights([lv.energy for lv in levels], degs, ensemble.T)
     Z = math.fsum(weights)
-    return [ensemble.N * w / Z for w in weights]
+    N = float(ensemble.N)  # the conversion N * w would make, done once
+    return [N * w / Z for w in weights], degs
 
 
 def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
@@ -176,7 +184,9 @@ def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     """
     lvls = _as_levels(levels)
     T = _check_temperature(T)
-    shift, weights = _weights(lvls, T)
+    shift, weights = _weights(
+        [lv.energy for lv in lvls], [lv.degeneracy for lv in lvls], T
+    )
     return -shift / T + math.log(math.fsum(weights))
 
 
@@ -193,13 +203,47 @@ def occupations(ensemble: EnsembleSpec) -> np.ndarray:
     """
     import numpy as np
 
-    return np.array(_occupations(ensemble), dtype=float)
+    return np.array(_occupations(ensemble)[0], dtype=float)
 
 
 def internal_energy(ensemble: EnsembleSpec) -> float:
     """U = sum n_i e_i at the most-probable occupations."""
-    n = _occupations(ensemble)
+    n, _ = _occupations(ensemble)
     return math.fsum(n_i * lv.energy for n_i, lv in zip(n, ensemble.levels))
+
+
+_TWO_PI = 2.0 * math.pi  # as log_factorial_stirling's 2.0 * math.pi * x groups it
+
+
+def _level_terms(
+    n: list[float], degs: list[int], stirling_form: StirlingForm
+) -> list[float]:
+    """Per-level n ln g - ln n! over the occupied levels (n > 0).
+
+    One comprehension per form, each spelling out the same floating-point
+    expression that ``StirlingForm.log_factorial`` evaluates, so the terms
+    are bit-identical to calling it level by level.  Occupations are
+    finite and >= 0 by construction, which is all that method checks.
+    """
+    log = math.log
+    if stirling_form is StirlingForm.TWO_TERM:
+        return [x * log(g) - (x * log(x) - x) for x, g in zip(n, degs) if x > 0.0]
+    if stirling_form is StirlingForm.THREE_TERM:
+        return [
+            x * log(g) - ((x * log(x) - x) + 0.5 * log(_TWO_PI * x))
+            for x, g in zip(n, degs)
+            if x > 0.0
+        ]
+    if stirling_form is StirlingForm.EXACT:
+        lgamma = math.lgamma
+        return [x * log(g) - lgamma(x + 1.0) for x, g in zip(n, degs) if x > 0.0]
+    raise DomainError(f"unknown stirling form: {stirling_form!r}")
+
+
+def _check_entropy(S: float, N: int) -> None:
+    """Raise a DomainError for an entropy that left the float range."""
+    if not math.isfinite(S):
+        raise DomainError(f"entropy overflows a float at N = {N:.6g} particles")
 
 
 def entropy_from_levels(
@@ -213,23 +257,23 @@ def entropy_from_levels(
     zero occupation contribute nothing (the n ln n -> 0 limit).  Under the
     two-term form the distinguishable entropy collapses to the classic
     N ln Z + U/T; that identity is a good end-to-end check and holds to
-    ~1e-9 relative in double precision.
+    ~1e-9 relative in double precision.  An entropy beyond the float range
+    is a DomainError.
     """
     if not isinstance(model, CountingModel):
         raise DomainError(f"unknown counting model: {model!r}")
-    n = _occupations(ensemble)
-    f = stirling_form.log_factorial
-    core = math.fsum(
-        n_i * math.log(lv.degeneracy) - f(n_i)
-        for n_i, lv in zip(n, ensemble.levels)
-        if n_i > 0.0
-    )
-    if model is CountingModel.DISTINGUISHABLE:
-        S = f(float(ensemble.N)) + core
-    else:
-        # gibbs-corrected == distinguishable - ln N!; bose-approximate
-        # arrives at the same per-level sum from the multiset count
-        S = core
+    n, degs = _occupations(ensemble)
+    try:
+        core = math.fsum(_level_terms(n, degs, stirling_form))
+        if model is CountingModel.DISTINGUISHABLE:
+            S = stirling_form.log_factorial(float(ensemble.N)) + core
+        else:
+            # gibbs-corrected == distinguishable - ln N!; bose-approximate
+            # arrives at the same per-level sum from the multiset count
+            S = core
+    except OverflowError:  # lgamma: some ln n! itself beyond the float range
+        S = math.nan
+    _check_entropy(S, ensemble.N)
     return EntropyResult(
         S=S, per_particle=S / ensemble.N, model=model, stirling_form=stirling_form
     )
@@ -251,7 +295,10 @@ def _ideal_gas_S(
     """
     S = n * math.log(V) + 1.5 * n * math.log(T) + constant
     if model is not CountingModel.DISTINGUISHABLE and n > 0:
-        S -= stirling_form.log_factorial(n)
+        try:
+            S -= stirling_form.log_factorial(n)
+        except OverflowError:  # lgamma: ln n! itself beyond the float range
+            return -math.inf
     return S
 
 
@@ -269,7 +316,8 @@ def ideal_gas_entropy(
     not extensive in N.  The corrected models subtract ln N!; under the
     two-term form that lands on N ln(V/N) + (3/2) N ln T + N + C, which is.
     Only entropy differences at fixed N are meaningful unless the caller
-    pins down ``constant``.
+    pins down ``constant``.  An S beyond the float range (N ln N overflows
+    near N = 1e306) is a DomainError.
     """
     if not isinstance(model, CountingModel):
         raise DomainError(f"unknown counting model: {model!r}")
@@ -279,6 +327,7 @@ def ideal_gas_entropy(
         raise DomainError(f"V must be finite and > 0, got {V!r}")
     T = _check_temperature(T)
     S = _ideal_gas_S(float(N), V, T, model, stirling_form, float(constant))
+    _check_entropy(S, N)
     return EntropyResult(
         S=S, per_particle=S / N, model=model, stirling_form=stirling_form
     )

@@ -254,6 +254,24 @@ class TestMix:
             "got a 1329-bit integer\n"
         )
 
+    def test_overflowing_entropy_exit_1(self, capsys, tmp_path):
+        big = tmp_path / "big.scenario"
+        big.write_text(
+            "compartment = a 1" + "0" * 307 + " 1.0 1.0\n"
+            "compartment = b 1" + "0" * 307 + " 1.0 1.0\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "mix", "--scenario", str(big))
+        assert code == 1
+        assert out == ""
+        assert err == "error: entropy overflows a float at N = 2e+307 particles\n"
+        code, out, err = run(
+            capsys, "entropy", "--N", "1" + "0" * 308, "--T", "1", "--V", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: entropy overflows a float at N = 1e+308 particles\n"
+
     def test_si_units_scale_work(self, capsys, monkeypatch):
         monkeypatch.setenv("MIXENT_KB", "si")
         code, out, _ = run(

@@ -205,6 +205,81 @@ class TestMultiplicityGibbsCorrected:
             multiplicity_gibbs_corrected_exact((MAX_EXACT_LIMIT + 1,), (2,))
 
 
+class TestExactCountKernels:
+    """The binomial-chain and divmod counts equal the closed forms as first
+    written, value and log, bit for bit."""
+
+    @staticmethod
+    def reference_distinguishable(occ, degs):
+        """N! * prod(g^n) // prod(n!)"""
+        numerator = math.factorial(sum(occ))
+        for n_i, g_i in zip(occ, degs):
+            numerator *= g_i**n_i
+        return numerator // math.prod(math.factorial(n_i) for n_i in occ)
+
+    @staticmethod
+    def reference_gibbs(dist_value, N):
+        """Fraction(dist, N!), kept only when it is an integer."""
+        ratio = Fraction(dist_value, math.factorial(N))
+        return int(ratio) if ratio.denominator == 1 else None
+
+    @staticmethod
+    def cases():
+        rng = random.Random(20240611)
+        limit = DEFAULT_EXACT_LIMIT
+        cases = [
+            ((0,), (1,)),  # N = 0
+            ((0, 0, 0), (2, 3, 1)),
+            ((7,), (3,)),  # a single cell
+            ((1,), (9,)),
+            ((limit,), (2,)),  # N at the exact limit
+            ((0, limit - 1, 1), (1, 3, 2)),
+            ((2, 0, 3, 0), (6, 4, 5, 1)),  # zeros between occupied cells
+            ((1, 1, 1, 1), (2, 3, 4, 5)),  # integral: prod(g)
+            ((2, 2), (6, 10)),  # integral: 36 * 100 / 4
+        ]
+        for _ in range(120):
+            m = rng.randint(1, 6)
+            N = rng.choice((rng.randint(0, 12), rng.randint(0, 300), rng.randint(0, limit)))
+            cuts = sorted(rng.randint(0, N) for _ in range(m - 1))
+            bounds = [0, *cuts, N]
+            occ = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+            degs = tuple(rng.choice((1, 2, 3, 7, 12, 1000)) for _ in range(m))
+            cases.append((occ, degs))
+        return cases
+
+    def test_distinguishable_matches_closed_form(self):
+        for occ, degs in self.cases():
+            expected = self.reference_distinguishable(occ, degs)
+            assert multiplicity_distinguishable(occ, degs) == Count.from_int(expected)
+
+    def test_gibbs_corrected_matches_fraction_over_N_factorial(self):
+        integral = fractional = 0
+        for occ, degs in self.cases():
+            N = sum(occ)
+            dist = self.reference_distinguishable(occ, degs)
+            expected = self.reference_gibbs(dist, N)
+            got = multiplicity_gibbs_corrected(occ, degs)
+            assert got.value == expected, (occ, degs)
+            assert got.log_value == math.log(dist) - log_factorial_exact(N)
+            integral += expected is not None
+            fractional += expected is None
+        assert integral >= 5 and fractional >= 50
+
+    @pytest.mark.parametrize("exact_limit", [0, 6, 7, 100])
+    def test_exact_limit_boundary(self, exact_limit):
+        occ, degs = (3, 0, 4), (2, 5, 3)  # N = 7
+        dist = multiplicity_distinguishable(occ, degs, exact_limit=exact_limit)
+        gibbs = multiplicity_gibbs_corrected(occ, degs, exact_limit=exact_limit)
+        if exact_limit >= 7:
+            value = self.reference_distinguishable(occ, degs)
+            assert dist == Count.from_int(value)
+            assert gibbs.value == self.reference_gibbs(value, 7)
+        else:
+            assert dist.is_log_only and gibbs.is_log_only
+        assert gibbs.log_value == dist.log_value - log_factorial_exact(7)
+
+
 class TestMultiplicityBose:
     def test_small_values(self):
         assert multiplicity_bose_exact(3, 2).value == 4

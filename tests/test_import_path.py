@@ -1,4 +1,5 @@
-"""numpy stays off the import path: `import mixent` and every CLI subcommand.
+"""numpy, fractions and decimal stay off the import path: `import mixent`
+and every CLI subcommand.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported numpy.
@@ -32,11 +33,11 @@ if argv:
 """
 
 
-def _probe(*argv: str) -> list[str]:
+def _run_probe(script: str, *args: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -44,6 +45,10 @@ def _probe(*argv: str) -> list[str]:
         check=True,
     )
     return proc.stdout.splitlines()
+
+
+def _probe(*argv: str) -> list[str]:
+    return _run_probe(PROBE, *argv)
 
 
 def test_import_mixent_loads_no_numpy():
@@ -65,3 +70,45 @@ SUBCOMMANDS = {
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_cli_subcommand_loads_no_numpy(name):
     assert _probe(*SUBCOMMANDS[name]) == ["import False", "main 0 False"]
+
+
+# the same checkpoints, printing which of the modules named in argv[1] are loaded
+MODULES_PROBE = """
+import contextlib, io, sys
+watched = sys.argv[1].split(",")
+def loaded():
+    return ",".join(m for m in watched if m in sys.modules) or "-"
+import mixent
+print("import", loaded())
+from mixent.cli import main
+argv = sys.argv[2:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print("main", code, loaded())
+"""
+
+# Fraction is imported only inside multiplicity_gibbs_corrected_exact;
+# fractions itself imports decimal
+EXACT_ARITHMETIC = "fractions,decimal"
+
+
+def test_import_mixent_loads_no_fractions_or_decimal():
+    assert _run_probe(MODULES_PROBE, EXACT_ARITHMETIC) == ["import -"]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_loads_no_fractions_or_decimal(name):
+    assert _run_probe(MODULES_PROBE, EXACT_ARITHMETIC, *SUBCOMMANDS[name]) == [
+        "import -",
+        "main 0 -",
+    ]
+
+
+def test_modules_probe_sees_fractions_once_used():
+    # the probe can fail: the exact rational loads both modules
+    probe = MODULES_PROBE.replace(
+        "import mixent\n",
+        "import mixent\nmixent.multiplicity_gibbs_corrected_exact((2,), (1,))\n",
+    )
+    assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]

@@ -315,6 +315,26 @@ class TestMixingEntropy:
                 MixingScenario.from_compartments(comps, overlaps=overlaps)
             )
 
+    def test_overlap_table_matches_pairs_given_in_either_order(self):
+        names = [f"sp{k}" for k in range(12)]
+        comps = tuple(GasCompartment(s, 10 + k, 0.5, 2.0) for k, s in enumerate(names))
+        overlaps = tuple(
+            SpeciesOverlap(b, a, 0.5) if k % 2 else SpeciesOverlap(a, b, 0.5)
+            for k, (a, b) in enumerate(
+                (a, b) for i, a in enumerate(names) for b in names[i + 1 :]
+            )
+        )
+        r = mixing_entropy(MixingScenario.from_compartments(comps, overlaps=overlaps))
+        assert r.overlap_applied == 0.5
+        with pytest.raises(DomainError) as exc:
+            mixing_entropy(
+                MixingScenario.from_compartments(comps, overlaps=overlaps[1:])
+            )
+        assert str(exc.value) == (
+            "pairwise overlaps must all agree when more than two species mix; "
+            "got [0.0, 0.5]"
+        )
+
     def test_unlisted_pair_defaults_to_orthogonal(self):
         a = GasCompartment("a", 500, 0.5, 1.0)
         b = GasCompartment("b", 500, 0.5, 1.0)
@@ -409,6 +429,14 @@ class TestScenarioValidation:
                 compartments=(a, b), final_volume=2.0, overlaps=overlaps
             )
 
+    def test_duplicate_overlap_message_names_the_sorted_pair(self):
+        a = GasCompartment("a", 10, 1.0, 1.0)
+        b = GasCompartment("b", 10, 1.0, 1.0)
+        overlaps = (SpeciesOverlap("b", "a", 0.1), SpeciesOverlap("a", "b", 0.1))
+        with pytest.raises(DomainError) as exc:
+            MixingScenario(compartments=(a, b), final_volume=2.0, overlaps=overlaps)
+        assert str(exc.value) == "duplicate overlap entry for pair ['a', 'b']"
+
     def test_self_overlap_rejected(self):
         with pytest.raises(DomainError):
             SpeciesOverlap("a", "a", 0.5)
@@ -448,3 +476,26 @@ class TestScenarioValidation:
         b = GasCompartment("a", 10**308, 1.0, 1.0)
         with pytest.raises(DomainError, match="total particle number"):
             MixingScenario(compartments=(a, b), final_volume=2.0)
+
+
+class TestEntropyBeyondFloatRange:
+    """Particle counts that fit a float but whose entropy does not."""
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    def test_mixing_entropy(self, form):
+        # each compartment's N ln N overflows, so both sides of delta_S do
+        comps = (
+            GasCompartment("a", 10**307, 1.0, 1.0),
+            GasCompartment("b", 10**307, 1.0, 1.0),
+        )
+        scenario = MixingScenario.from_compartments(comps, stirling_form=form)
+        with pytest.raises(DomainError) as exc:
+            mixing_entropy(scenario)
+        assert str(exc.value) == "entropy overflows a float at N = 2e+307 particles"
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    def test_partition_change_entropy(self, form):
+        with pytest.raises(DomainError, match="entropy overflows a float"):
+            partition_change_entropy(
+                10**308, 1.0, 1.0, 2, CountingModel.GIBBS_CORRECTED, form
+            )

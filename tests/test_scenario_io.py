@@ -114,6 +114,82 @@ class TestParseErrors:
         assert str(exc.value).startswith("demo.scenario:1:")
 
 
+# One bad line after a comment and a good compartment, so errors land on
+# line 3: (the bad line, line, column, message).  Expected values are those
+# the parser has always reported, including for runs of spaces and tabs.
+_PRELUDE = "# header\ncompartment = a 10 1.0 1.0\n"
+ERROR_TABLE = [
+    ("compartment = b ten 1.0 1.0", 3, 17, "N must be an integer, got 'ten'"),
+    ("compartment = b 1.5 1.0 1.0", 3, 17, "N must be an integer, got '1.5'"),
+    ("compartment = b 1e3 1.0 1.0", 3, 17, "N must be an integer, got '1e3'"),
+    ("compartment = b 10 big 1.0", 3, 20, "V must be a number, got 'big'"),
+    ("compartment = b 10 1.0 hot", 3, 24, "T must be a number, got 'hot'"),
+    ("overlap = a b high", 3, 15, "overlap must be a number, got 'high'"),
+    ("compartment = b! 10 1.0 1.0", 3, 15, "invalid species token 'b!'"),
+    ("overlap = a? b 0.5", 3, 11, "invalid species token 'a?'"),
+    ("overlap = a b# 0.5", 3, 13, "invalid species token 'b#'"),
+    (
+        "compartment = b 10 1.0",
+        3,
+        15,
+        "compartment needs '<species> <N> <V> <T>', got 3 tokens",
+    ),
+    (
+        "compartment = b 10 1.0 1.0 extra",
+        3,
+        15,
+        "compartment needs '<species> <N> <V> <T>', got 5 tokens",
+    ),
+    ("overlap = a b", 3, 11, "overlap needs '<species_a> <species_b> <q>', got 2 tokens"),
+    (
+        "overlap = a b 0.5 0.5",
+        3,
+        11,
+        "overlap needs '<species_a> <species_b> <q>', got 4 tokens",
+    ),
+    ("compartment =", 3, 14, "empty value for key 'compartment'"),
+    ("overlap =   \t ", 3, 15, "empty value for key 'overlap'"),
+    ("stirling_form =\t ", 3, 18, "empty value for key 'stirling_form'"),
+    # several spaces and tabs between and around the tokens
+    ("compartment   =   b    10     big   1.0", 3, 31, "V must be a number, got 'big'"),
+    ("compartment\t=\tb\t10\t1.0\thot", 3, 24, "T must be a number, got 'hot'"),
+    ("  overlap =\t a \t b\t\tq", 3, 21, "overlap must be a number, got 'q'"),
+    ("\tcompartment=b 10 1.0 x", 3, 23, "T must be a number, got 'x'"),
+    ("overlap = a  b! 0.5", 3, 14, "invalid species token 'b!'"),
+    (
+        "compartment = b  \t 10 \t 1.0",
+        3,
+        15,
+        "compartment needs '<species> <N> <V> <T>', got 3 tokens",
+    ),
+    # keys and scalar values
+    ("no equals sign here", 3, 1, "expected 'key = value'"),
+    ("  colour = red", 3, 3, "unknown key 'colour'"),
+    ("final_volume =  lots", 3, 17, "final_volume must be a number, got 'lots'"),
+    (
+        " weighting = sideways",
+        3,
+        14,
+        "weighting must be one of: complement, literal; got 'sideways'",
+    ),
+    ("id = a\n\t id = b", 4, 3, "duplicate key 'id'"),
+    (
+        "compartment = b 10 1.0 1.0\ncompartment = c 10 1.0 cold",
+        4,
+        24,
+        "T must be a number, got 'cold'",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad, line, column, message", ERROR_TABLE)
+def test_parse_error_location(bad, line, column, message):
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(_PRELUDE + bad + "\n")
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"<string>:{line}:{column}: {message}"
+
+
 class TestDomainVsParse:
     def test_unphysical_values_are_domain_errors(self):
         # lexes fine, fails physics: different temperatures

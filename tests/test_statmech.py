@@ -188,6 +188,77 @@ class TestEntropyFromLevels:
             entropy_from_levels(ens, "distinguishable")
 
 
+def reference_entropy(ensemble, model, form):
+    """entropy_from_levels as first written: form.log_factorial level by level."""
+    levels = ensemble.levels
+    shift = min(lv.energy for lv in levels)
+    weights = [
+        lv.degeneracy * math.exp(-(lv.energy - shift) / ensemble.T) for lv in levels
+    ]
+    Z = math.fsum(weights)
+    n = [ensemble.N * w / Z for w in weights]
+    f = form.log_factorial
+    core = math.fsum(
+        n_i * math.log(lv.degeneracy) - f(n_i)
+        for n_i, lv in zip(n, levels)
+        if n_i > 0.0
+    )
+    if model is CountingModel.DISTINGUISHABLE:
+        return f(float(ensemble.N)) + core
+    return core
+
+
+class TestLevelKernelsBitIdentical:
+    """The per-form term expressions give exactly the per-level
+    ``log_factorial`` result, for every counting model and Stirling form."""
+
+    @staticmethod
+    def ensembles():
+        rng = random.Random(4471)
+        out = []
+        for _ in range(60):
+            m = rng.randint(1, 200)
+            T = rng.choice((0.01, 0.3, 1.0, 7.0))
+            # up to e/T = 800: weights past e/T ~ 745 underflow to exactly 0,
+            # those just below it to subnormals
+            levels = tuple(
+                LevelSpec(rng.uniform(0.0, 800.0) * T, rng.choice((1, 2, 5, 10**6)))
+                for _ in range(m)
+            )
+            N = rng.choice((1, 3, 250, 10**5, 10**9, 10**18))
+            out.append(EnsembleSpec(levels=levels, N=N, T=T))
+        # one occupied level among underflowed ones, and a single level
+        out.append(EnsembleSpec(levels=((0.0, 2), (760.0, 3), (1e4, 1)), N=40, T=1.0))
+        out.append(EnsembleSpec(levels=((5.0, 3),), N=7, T=0.5))
+        return out
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    @pytest.mark.parametrize("model", list(CountingModel))
+    def test_equal_to_per_level_log_factorial(self, model, form):
+        for ens in self.ensembles():
+            r = entropy_from_levels(ens, model, form)
+            expected = reference_entropy(ens, model, form)
+            assert r.S == expected
+            assert r.per_particle == expected / ens.N
+
+    def test_ensembles_reach_underflow(self):
+        ens_list = self.ensembles()
+        zero = tiny = 0
+        for ens in ens_list:
+            shift = min(lv.energy for lv in ens.levels)
+            for lv in ens.levels:
+                w = math.exp(-(lv.energy - shift) / ens.T)
+                zero += w == 0.0
+                tiny += 0.0 < w < 1e-300
+        assert zero > 100 and tiny > 5
+        assert max(len(e.levels) for e in ens_list) > 150
+
+    def test_unknown_form_rejected(self):
+        ens = EnsembleSpec(levels=TWO_LEVELS, N=10, T=1.0)
+        with pytest.raises(DomainError, match="unknown stirling form"):
+            entropy_from_levels(ens, CountingModel.GIBBS_CORRECTED, "two-term")
+
+
 class TestIdealGasEntropy:
     def test_volume_doubling_distinguishable(self):
         s1 = ideal_gas_entropy(1000, 1.0, 1.0, CountingModel.DISTINGUISHABLE).S
@@ -345,3 +416,27 @@ class TestSpecValidation:
     def test_ideal_gas_entropy_rejects_ints_beyond_float_range(self):
         with pytest.raises(DomainError, match="fit a float"):
             ideal_gas_entropy(10**400, 1.0, 1.0, CountingModel.GIBBS_CORRECTED)
+
+
+class TestEntropyBeyondFloatRange:
+    """N fits a float but the entropy does not: a DomainError, not -inf."""
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    @pytest.mark.parametrize(
+        "model", [CountingModel.GIBBS_CORRECTED, CountingModel.BOSE_APPROXIMATE]
+    )
+    def test_ideal_gas_entropy(self, model, form):
+        with pytest.raises(DomainError, match="entropy overflows a float"):
+            ideal_gas_entropy(10**308, 1, 1, model, form)
+
+    def test_ideal_gas_entropy_distinguishable_still_finite(self):
+        # N ln V + (3/2) N ln T stays below the float maximum here
+        r = ideal_gas_entropy(10**308, 2.0, 1.0, CountingModel.DISTINGUISHABLE)
+        assert r.S == 10**308 * math.log(2.0)
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    def test_entropy_from_levels_occupation_overflow(self, form):
+        # N * g overflows to an infinite occupation of the ground level
+        ens = EnsembleSpec(levels=((0.0, 4), (1.0, 1)), N=10**308, T=1.0)
+        with pytest.raises(DomainError, match="entropy overflows a float"):
+            entropy_from_levels(ens, CountingModel.GIBBS_CORRECTED, form)
