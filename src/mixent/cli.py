@@ -66,6 +66,13 @@ class _UsageError(Exception):
     """Bad arguments detected after argparse; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors on one stderr line, like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -278,7 +285,7 @@ def _cmd_oracle_check(args: argparse.Namespace, scale: float, units: str) -> int
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixent",
         description="Microstate counting and mixing entropy for ideal-gas scenarios.",
     )
@@ -350,17 +357,11 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ScenarioParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (ScenarioParseError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OverflowError as exc:
-        print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
         return 1
 
 

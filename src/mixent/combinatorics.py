@@ -14,11 +14,11 @@ units of k_B (nats).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from . import _check
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -49,32 +49,12 @@ DEFAULT_EXACT_LIMIT = 5000
 MAX_EXACT_LIMIT = 20000
 
 _NEG_INF = float("-inf")
-
-
-def _as_index(name: str, value: object) -> int:
-    """Coerce an integer-like to int, rejecting floats and other imposters."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _as_nonnegative(name: str, value: object) -> int:
-    n = _as_index(name, value)
-    if n < 0:
-        raise DomainError(f"{name} must be >= 0, got {n}")
-    return n
-
-
-def _as_positive(name: str, value: object) -> int:
-    n = _as_index(name, value)
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-    return n
+_INF = float("inf")
+_TWO_PI = 2.0 * math.pi
 
 
 def _check_exact_limit(exact_limit: int) -> int:
-    limit = _as_nonnegative("exact_limit", exact_limit)
+    limit = _check.integer("exact_limit", exact_limit)
     if limit > MAX_EXACT_LIMIT:
         raise DomainError(
             f"exact_limit {limit} exceeds the hard cap {MAX_EXACT_LIMIT}; "
@@ -98,7 +78,7 @@ class Count:
 
     @classmethod
     def from_int(cls, value: int) -> "Count":
-        value = _as_nonnegative("count", value)
+        value = _check.integer("count", value)
         # math.log takes big ints directly; no float conversion overflow.
         log_value = _NEG_INF if value == 0 else math.log(value)
         return cls(log_value=log_value, value=value)
@@ -122,7 +102,7 @@ class OccupationVector:
 
     def __post_init__(self) -> None:
         coerced = tuple(
-            _as_nonnegative("occupation number", c) for c in self.counts
+            _check.count("occupation number", c, 0) for c in self.counts
         )
         object.__setattr__(self, "counts", coerced)
         if not coerced:
@@ -149,7 +129,7 @@ def _as_occupation(occ: OccupationVector | Iterable[int]) -> OccupationVector:
 def _as_degeneracies(
     degeneracies: Sequence[int], n_cells: int
 ) -> tuple[int, ...]:
-    degs = tuple(_as_positive("degeneracy", g) for g in degeneracies)
+    degs = tuple(_check.integer("degeneracy", g, 1) for g in degeneracies)
     if len(degs) != n_cells:
         raise DomainError(
             f"occupation/degeneracy length mismatch: {n_cells} cells "
@@ -175,33 +155,40 @@ class StirlingForm(Enum):
     def log_factorial(self, n: float) -> float:
         """ln n! under this form, for real n >= 0.
 
-        Occupation numbers in entropy formulas are generally not integers,
-        so this accepts any nonnegative real.  n == 0 returns 0 (the
-        factorial limit) under every form; the Stirling expressions are
-        poor for small nonzero n, which is the form's own failure mode
-        rather than this function's.
+        The one definition of ln n! in the package.  Occupation numbers in
+        entropy formulas are generally not integers, so this accepts any
+        nonnegative real.  n == 0 returns 0 (the factorial limit) under
+        every form; the Stirling expressions are poor for small nonzero n,
+        which is the form's own failure mode rather than this function's.
+        An n or an ln n! beyond the float range is a DomainError.
         """
-        if math.isnan(n) or n < 0:
+        x = _check.finite("n", n)
+        if x < 0.0:
             raise DomainError(f"log_factorial needs n >= 0, got {n!r}")
         if self is StirlingForm.EXACT:
-            return math.lgamma(n + 1.0)
-        if n == 0:
+            try:
+                return math.lgamma(x + 1.0)
+            except OverflowError:
+                value = _INF
+        elif x == 0.0:
             return 0.0
-        return log_factorial_stirling(n, three_term=self is StirlingForm.THREE_TERM)
+        else:
+            value = x * math.log(x) - x
+            if self is StirlingForm.THREE_TERM:
+                value += 0.5 * math.log(_TWO_PI * x)
+        if value == _INF:
+            raise DomainError(f"ln n! overflows a float at n = {x:.6g}")
+        return value
 
 
 def log_factorial_exact(n: int | float) -> float:
-    """ln n! to full double precision.
+    """ln n! to full double precision: ``StirlingForm.EXACT.log_factorial``.
 
     Equals the direct sum ln 1 + ln 2 + ... + ln n but is computed in O(1)
     via the log-gamma function, so it stays usable for n far beyond the
     big-integer comfort zone.  Accepts real n >= 0 (gamma interpolation).
     """
-    if isinstance(n, float) and (math.isnan(n) or math.isinf(n)):
-        raise DomainError(f"log_factorial_exact needs finite n, got {n!r}")
-    if n < 0:
-        raise DomainError(f"log_factorial_exact needs n >= 0, got {n!r}")
-    return math.lgamma(float(n) + 1.0)
+    return StirlingForm.EXACT.log_factorial(n)
 
 
 def log_factorial_stirling(n: int | float, *, three_term: bool = False) -> float:
@@ -210,15 +197,10 @@ def log_factorial_stirling(n: int | float, *, three_term: bool = False) -> float
     Two-term form ``n ln n - n`` by default; ``three_term=True`` adds
     ``(1/2) ln(2 pi n)``.  Requires n > 0 since ln n appears explicitly.
     """
-    if isinstance(n, float) and not math.isfinite(n):
-        raise DomainError(f"log_factorial_stirling needs finite n, got {n!r}")
-    if n <= 0:
+    if not _check.finite("n", n) > 0:
         raise DomainError(f"log_factorial_stirling needs n > 0, got {n!r}")
-    x = float(n)
-    value = x * math.log(x) - x
-    if three_term:
-        value += 0.5 * math.log(2.0 * math.pi * x)
-    return value
+    form = StirlingForm.THREE_TERM if three_term else StirlingForm.TWO_TERM
+    return form.log_factorial(n)
 
 
 def binomial(N: int, n: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Count:
@@ -228,8 +210,8 @@ def binomial(N: int, n: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Count
     domain error rather than zero: in every counting context here it means
     the caller's bookkeeping is broken.
     """
-    N = _as_nonnegative("N", N)
-    n = _as_nonnegative("n", n)
+    N = _check.count("N", N, 0)
+    n = _check.count("n", n, 0)
     limit = _check_exact_limit(exact_limit)
     if n > N:
         raise DomainError(f"cannot choose n={n} from N={N}")
@@ -330,8 +312,8 @@ def multiplicity_bose_exact(
     """Unordered ways to place n identical particles in g substates:
     (n + g - 1)! / (n! (g - 1)!).
     """
-    n = _as_nonnegative("n", n)
-    g = _as_positive("g", g)
+    n = _check.count("n", n, 0)
+    g = _check.count("g", g)
     limit = _check_exact_limit(exact_limit)
     if n + g - 1 <= limit:
         return Count.from_int(math.comb(n + g - 1, n))
@@ -350,8 +332,8 @@ def multiplicity_bose_approx(n: int, g: int) -> float:
     order discounted).  Returns the log directly; there is no integer to
     materialize since the expression is already an approximation.
     """
-    n = _as_nonnegative("n", n)
-    g = _as_positive("g", g)
+    n = _check.count("n", n, 0)
+    g = _check.integer("g", g, 1)
     if n == 0:
         return 0.0
     return n * math.log(g) - log_factorial_exact(n)
@@ -361,8 +343,8 @@ def classical_symbol_states(
     n: int, g: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> Count:
     """Ordered assignments of n labeled particles to g substates: g**n."""
-    n = _as_nonnegative("n", n)
-    g = _as_positive("g", g)
+    n = _check.count("n", n, 0)
+    g = _check.integer("g", g, 1)
     limit = _check_exact_limit(exact_limit)
     if n <= limit:
         return Count.from_int(g**n)

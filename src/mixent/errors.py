@@ -9,9 +9,11 @@ class DomainError(ValueError):
     """An input lies outside the physical or mathematical domain of an operation.
 
     Raised for things like negative counts, non-positive volumes or
-    temperatures, mismatched vector lengths, or scenario constraints that do
-    not hold.  Subclasses ValueError so callers that only care about "bad
-    input" can catch the builtin.
+    temperatures, mismatched vector lengths, scenario constraints that do
+    not hold, and numbers beyond the float range (an int too large to
+    convert, or an ln n! or entropy that overflows), which never surface
+    as a bare OverflowError.  Subclasses ValueError so callers that only
+    care about "bad input" can catch the builtin.
     """
 
 

@@ -23,17 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Any, Iterable
 
+from . import _check
 from .combinatorics import StirlingForm
 from .errors import DomainError
-from .statmech import (
-    CountingModel,
-    EntropyResult,
-    _as_positive_count,
-    _check_entropy,
-    _ideal_gas_S,
-)
+from .statmech import CountingModel, EntropyResult, _entropy_result, _ideal_gas_S
 
 __all__ = [
     "GasCompartment",
@@ -51,13 +46,6 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
-def _check_positive_float(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True, init=False)
 class GasCompartment:
     """One compartment of ideal gas: a species label, N, V, and T."""
@@ -72,9 +60,9 @@ class GasCompartment:
             raise DomainError(f"species must be a non-empty string, got {species!r}")
         setfield = object.__setattr__  # frozen: the one way in, once per field
         setfield(self, "species", species)
-        setfield(self, "N", _as_positive_count("N", N))
-        setfield(self, "V", _check_positive_float("V", V))
-        setfield(self, "T", _check_positive_float("T", T))
+        setfield(self, "N", _check.count("N", N))
+        setfield(self, "V", _check.positive("V", V))
+        setfield(self, "T", _check.positive("T", T))
 
 
 @dataclass(frozen=True, init=False)
@@ -99,13 +87,10 @@ class SpeciesOverlap:
             )
         if species_b < species_a:
             species_a, species_b = species_b, species_a
-        q = float(overlap)
-        if not 0.0 <= q <= 1.0:  # NaN fails the comparison too
-            raise DomainError(f"overlap must lie in [0, 1], got {overlap!r}")
         setfield = object.__setattr__  # frozen: the one way in, once per field
         setfield(self, "species_a", species_a)
         setfield(self, "species_b", species_b)
-        setfield(self, "overlap", q)
+        setfield(self, "overlap", _check.overlap(overlap))
 
     @property
     def pair(self) -> frozenset[str]:
@@ -136,10 +121,11 @@ class MixingScenario:
     (1e-12 relative), and final_volume must equal the summed compartment
     volumes (1e-12 relative); violations are domain errors since the
     entropy bookkeeping here has no terms for heat or compression work.
+    Left out, final_volume is that sum.
     """
 
     compartments: tuple[GasCompartment, ...]
-    final_volume: float
+    final_volume: float | None = None
     overlaps: tuple[SpeciesOverlap, ...] = ()
     model: CountingModel = CountingModel.GIBBS_CORRECTED
     stirling_form: StirlingForm = StirlingForm.TWO_TERM
@@ -149,6 +135,9 @@ class MixingScenario:
         comps = tuple(self.compartments)
         if not comps:
             raise DomainError("scenario needs at least one compartment")
+        for c in comps:
+            if not isinstance(c, GasCompartment):
+                raise DomainError(f"compartments must be GasCompartment, got {c!r}")
         object.__setattr__(self, "compartments", comps)
         t0 = comps[0].T
         for c in comps[1:]:
@@ -156,9 +145,10 @@ class MixingScenario:
                 raise DomainError(
                     f"scenario must be isothermal: temperatures {t0!r} and {c.T!r} differ"
                 )
-        _as_positive_count("total particle number", sum([c.N for c in comps]))
+        _check.count("total particle number", sum([c.N for c in comps]))
         v_sum = sum([c.V for c in comps])
-        v_fin = _check_positive_float("final_volume", self.final_volume)
+        v_fin = v_sum if self.final_volume is None else self.final_volume
+        v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
             raise DomainError(
                 f"final_volume {v_fin!r} must equal the summed compartment "
@@ -175,32 +165,20 @@ class MixingScenario:
                 raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
             seen.add(pair)
         object.__setattr__(self, "overlaps", ovl)
-        if not isinstance(self.model, CountingModel):
-            raise DomainError(f"unknown counting model: {self.model!r}")
-        if not isinstance(self.stirling_form, StirlingForm):
-            raise DomainError(f"unknown stirling form: {self.stirling_form!r}")
-        if not isinstance(self.weighting, Weighting):
-            raise DomainError(f"unknown weighting: {self.weighting!r}")
+        _check.member(CountingModel, self.model)
+        _check.member(StirlingForm, self.stirling_form)
+        _check.member(Weighting, self.weighting)
 
     @classmethod
     def from_compartments(
-        cls,
-        compartments: Iterable[GasCompartment],
-        *,
-        overlaps: Iterable[SpeciesOverlap] = (),
-        model: CountingModel = CountingModel.GIBBS_CORRECTED,
-        stirling_form: StirlingForm = StirlingForm.TWO_TERM,
-        weighting: Weighting = Weighting.COMPLEMENT,
+        cls, compartments: Iterable[GasCompartment], **fields: Any
     ) -> "MixingScenario":
-        comps = tuple(compartments)
-        return cls(
-            compartments=comps,
-            final_volume=sum(c.V for c in comps),
-            overlaps=tuple(overlaps),
-            model=model,
-            stirling_form=stirling_form,
-            weighting=weighting,
-        )
+        """The scenario over ``compartments``, merging into their summed volume.
+
+        ``fields`` are MixingScenario's other keyword fields (overlaps,
+        model, stirling_form, weighting), with the same defaults.
+        """
+        return cls(compartments=tuple(compartments), **fields)
 
     @property
     def temperature(self) -> float:
@@ -251,11 +229,8 @@ def overlap_weighted_mixing_entropy(
     COMPLEMENT: delta * (1 - q^2), which runs continuously from the full
     value at q = 0 to exactly 0 at q = 1.  LITERAL: delta * q^2.
     """
-    q = float(overlap)
-    if not (0.0 <= q <= 1.0) or not math.isfinite(q):
-        raise DomainError(f"overlap must lie in [0, 1], got {overlap!r}")
-    if not isinstance(weighting, Weighting):
-        raise DomainError(f"unknown weighting: {weighting!r}")
+    q = _check.overlap(overlap)
+    _check.member(Weighting, weighting)
     if weighting is Weighting.COMPLEMENT:
         return delta_S_full * (1.0 - q * q)
     return delta_S_full * (q * q)
@@ -267,19 +242,8 @@ def separation_work(delta_S: float, T: float) -> float:
     Reduced units: with k_B = 1 the product of a temperature and an
     entropy in nats is already an energy.
     """
-    T = _check_positive_float("T", T)
-    if not math.isfinite(delta_S):
-        raise DomainError(f"delta_S must be finite, got {delta_S!r}")
-    return T * delta_S
-
-
-def _entropy_result(S: float, N: int, scenario: MixingScenario) -> EntropyResult:
-    return EntropyResult(
-        S=S,
-        per_particle=S / N,
-        model=scenario.model,
-        stirling_form=scenario.stirling_form,
-    )
+    T = _check.positive("T", T)
+    return T * _check.finite("delta_S", delta_S)
 
 
 def _effective_overlap(scenario: MixingScenario) -> float:
@@ -343,8 +307,7 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         for n in per_species.values()
     )
     S_final_identical = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
-    for S in (S_initial, S_final_distinct, S_final_identical):
-        _check_entropy(S, N_total)
+    initial = _entropy_result(S_initial, N_total, model, form)
 
     q = _effective_overlap(scenario)
     delta_identical = S_final_identical - S_initial
@@ -352,10 +315,12 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     delta_S = delta_identical + overlap_weighted_mixing_entropy(
         delta_inter, q, scenario.weighting
     )
-    S_final = S_initial + delta_S
+    # S_final is inf or NaN whenever S_final_distinct or S_final_identical
+    # is, so this check covers both
+    final = _entropy_result(S_initial + delta_S, N_total, model, form)
     return MixingReport(
-        S_initial=_entropy_result(S_initial, N_total, scenario),
-        S_final=_entropy_result(S_final, N_total, scenario),
+        S_initial=initial,
+        S_final=final,
         delta_S=delta_S,
         separation_work=separation_work(delta_S, T),
         overlap_applied=q,
@@ -387,18 +352,14 @@ def partition_change_entropy(
     (1/2) ln(pi N / 2).  The EXACT form requires parts | N so the
     multinomial is a true integer count.
     """
-    N = _as_positive_count("N", N)
-    V = _check_positive_float("V", V)
-    T = _check_positive_float("T", T)
-    parts = _as_positive_count("parts", parts)
-    if parts < 2:
-        raise DomainError(f"parts must be >= 2, got {parts}")
+    N = _check.count("N", N)
+    V = _check.positive("V", V)
+    T = _check.positive("T", T)
+    parts = _check.integer("parts", parts, 2)
     if parts > N:
         raise DomainError(f"cannot split N={N} particles into {parts} parts")
-    if not isinstance(model, CountingModel):
-        raise DomainError(f"unknown counting model: {model!r}")
-    if not isinstance(stirling_form, StirlingForm):
-        raise DomainError(f"unknown stirling form: {stirling_form!r}")
+    _check.member(CountingModel, model)
+    _check.member(StirlingForm, stirling_form)
     exact_corrected = (
         model is not CountingModel.DISTINGUISHABLE
         and stirling_form is StirlingForm.EXACT
@@ -408,24 +369,19 @@ def partition_change_entropy(
             f"exact-form partition residual needs parts | N, got N={N}, parts={parts}"
         )
 
-    n_part = N / parts
+    V_part = V / parts
+    if V_part == 0.0:
+        raise DomainError(f"V / parts underflows to 0 at V = {V!r}, parts = {parts}")
     S_joined = _ideal_gas_S(float(N), V, T, model, stirling_form, 0.0)
-    S_parted = parts * _ideal_gas_S(n_part, V / parts, T, model, stirling_form, 0.0)
-    _check_entropy(S_joined, N)
-    _check_entropy(S_parted, N)
+    S_parted = parts * _ideal_gas_S(N / parts, V_part, T, model, stirling_form, 0.0)
+    joined = _entropy_result(S_joined, N, model, stirling_form)
+    parted = _entropy_result(S_parted, N, model, stirling_form)
 
-    if exact_corrected:
-        S_i, S_f = S_parted, S_joined
-    else:
-        S_i, S_f = S_joined, S_parted
-    delta_S = S_f - S_i
+    initial, final = (parted, joined) if exact_corrected else (joined, parted)
+    delta_S = final.S - initial.S
     return MixingReport(
-        S_initial=EntropyResult(
-            S=S_i, per_particle=S_i / N, model=model, stirling_form=stirling_form
-        ),
-        S_final=EntropyResult(
-            S=S_f, per_particle=S_f / N, model=model, stirling_form=stirling_form
-        ),
+        S_initial=initial,
+        S_final=final,
         delta_S=delta_S,
         separation_work=separation_work(delta_S, T),
         overlap_applied=1.0,
@@ -444,11 +400,11 @@ def spin_field_scenario(
     extractable as work T * N ln 2.  The information needed to tell the
     halves apart, not anything mechanical, is what changed.
     """
-    N = _as_positive_count("N", N)
+    N = _check.count("N", N)
     if N % 2 != 0:
         raise DomainError(f"spin scenario splits N in half, so N must be even; got {N}")
-    V = _check_positive_float("V", V)
-    T = _check_positive_float("T", T)
+    V = _check.positive("V", V)
+    T = _check.positive("T", T)
     half_n = N // 2
     half_v = V / 2.0
     compartments = (

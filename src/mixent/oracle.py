@@ -17,8 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import combinatorics
-from .combinatorics import OccupationVector, _as_nonnegative, _as_positive
+from . import _check, combinatorics
+from .combinatorics import OccupationVector
 from .errors import OracleSizeError
 
 __all__ = [
@@ -54,7 +54,7 @@ class CellSpec:
     degeneracies: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degs = tuple(_as_positive("degeneracy", g) for g in self.degeneracies)
+        degs = tuple(_check.integer("degeneracy", g, 1) for g in self.degeneracies)
         object.__setattr__(self, "degeneracies", degs)
         if not degs:
             raise OracleSizeError("CellSpec needs at least one cell")
@@ -133,7 +133,7 @@ def enumerate_assignments(
     N - k particles is added to all of them at C speed.  Raises
     OracleSizeError when the assignment count exceeds ASSIGNMENT_GUARD.
     """
-    N = _as_nonnegative("N", N)
+    N = _check.integer("N", N)
     cells = _as_cells(cells)
     G = cells.total_substates
     n_assignments = G**N
@@ -169,7 +169,7 @@ def enumerate_indistinct(
     guard itself is a size precheck; the reported total still comes from
     actual iteration).
     """
-    N = _as_nonnegative("N", N)
+    N = _check.integer("N", N)
     cells = _as_cells(cells)
     G = cells.total_substates
     n_patterns = math.comb(N + G - 1, N)

@@ -42,6 +42,11 @@ __all__ = ["ScenarioFile", "parse_scenario", "load_scenario", "serialize_scenari
 
 _SCALAR_KEYS = ("id", "model", "stirling_form", "weighting", "final_volume")
 _LIST_KEYS = ("compartment", "overlap")
+_CHOICE_KEYS = (
+    ("model", CountingModel),
+    ("stirling_form", StirlingForm),
+    ("weighting", Weighting),
+)
 _SPECIES_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
 # what each token of a list value is, for error messages
 _COMPARTMENT_FIELDS = ("species", "N", "V", "T")
@@ -154,29 +159,18 @@ def parse_scenario(
             "scenario declares no compartments", source=source
         )
 
-    model = _parse_choice(scalars, "model", CountingModel, source)
-    form = _parse_choice(scalars, "stirling_form", StirlingForm, source)
-    weighting = _parse_choice(scalars, "weighting", Weighting, source)
-
+    # keys left out take MixingScenario's defaults
+    options = {
+        key: _parse_choice(scalars, key, enum_cls, source)
+        for key, enum_cls in _CHOICE_KEYS
+        if key in scalars
+    }
     if "final_volume" in scalars:
         value, lineno, col = scalars["final_volume"]
-        final_volume = _parse_float(value, fail, lineno, col, "final_volume")
-        scenario = MixingScenario(
-            compartments=tuple(compartments),
-            final_volume=final_volume,
-            overlaps=tuple(overlaps),
-            model=model,
-            stirling_form=form,
-            weighting=weighting,
-        )
-    else:
-        scenario = MixingScenario.from_compartments(
-            compartments,
-            overlaps=tuple(overlaps),
-            model=model,
-            stirling_form=form,
-            weighting=weighting,
-        )
+        options["final_volume"] = _parse_float(value, fail, lineno, col, "final_volume")
+    scenario = MixingScenario(
+        compartments=tuple(compartments), overlaps=tuple(overlaps), **options
+    )
 
     scenario_id = scalars["id"][0] if "id" in scalars else default_id
     return ScenarioFile(id=scenario_id, scenario=scenario)
@@ -216,13 +210,6 @@ def _parse_float(token, fail, lineno, col, what):
 
 
 def _parse_choice(scalars, key, enum_cls, source):
-    defaults = {
-        "model": CountingModel.GIBBS_CORRECTED,
-        "stirling_form": StirlingForm.TWO_TERM,
-        "weighting": Weighting.COMPLEMENT,
-    }
-    if key not in scalars:
-        return defaults[key]
     value, lineno, col = scalars[key]
     try:
         return enum_cls(value)

@@ -26,12 +26,12 @@ an ndarray) and :func:`gibbs_shannon_entropy`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .combinatorics import StirlingForm
+from . import _check
+from .combinatorics import _TWO_PI, StirlingForm
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -61,24 +61,6 @@ class CountingModel(Enum):
     BOSE_APPROXIMATE = "bose-approximate"
 
 
-def _as_positive_count(name: str, value: object) -> int:
-    """An integer >= 1 that converts to float (the entropy formulas need it)."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise DomainError(f"{name} must be >= 1, got {n}")
-    try:
-        float(n)
-    except OverflowError:
-        raise DomainError(
-            f"{name} must fit a float (at most about 1.8e308), got a "
-            f"{n.bit_length()}-bit integer"
-        ) from None
-    return n
-
-
 @dataclass(frozen=True, init=False)
 class LevelSpec:
     """One energy level: energy in reduced units, integer degeneracy >= 1."""
@@ -87,20 +69,9 @@ class LevelSpec:
     degeneracy: int = 1
 
     def __init__(self, energy: float, degeneracy: int = 1) -> None:
-        e = float(energy)
-        if not math.isfinite(e):
-            raise DomainError(f"level energy must be finite, got {energy!r}")
-        try:
-            g = operator.index(degeneracy)
-        except TypeError:
-            raise DomainError(
-                f"degeneracy must be an integer, got {degeneracy!r}"
-            ) from None
-        if g < 1:
-            raise DomainError(f"degeneracy must be >= 1, got {g}")
         setfield = object.__setattr__  # frozen: the one way in, once per field
-        setfield(self, "energy", e)
-        setfield(self, "degeneracy", g)
+        setfield(self, "energy", _check.finite("level energy", energy))
+        setfield(self, "degeneracy", _check.count("degeneracy", degeneracy))
 
 
 @dataclass(frozen=True)
@@ -119,11 +90,8 @@ class EnsembleSpec:
         if not levels:
             raise DomainError("ensemble needs at least one level")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "N", _as_positive_count("N", self.N))
-        T = float(self.T)
-        if not (math.isfinite(T) and T > 0):
-            raise DomainError(f"T must be finite and > 0, got {self.T!r}")
-        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "N", _check.count("N", self.N))
+        object.__setattr__(self, "T", _check.positive("T", self.T))
 
 
 @dataclass(frozen=True)
@@ -136,42 +104,30 @@ class EntropyResult:
     stirling_form: StirlingForm
 
 
-def _as_levels(levels: Iterable[LevelSpec]) -> tuple[LevelSpec, ...]:
-    out = tuple(
-        lv if isinstance(lv, LevelSpec) else LevelSpec(*lv) for lv in levels
-    )
-    if not out:
-        raise DomainError("need at least one level")
-    return out
-
-
-def _check_temperature(T: float) -> float:
-    T = float(T)
-    if not (math.isfinite(T) and T > 0):
-        raise DomainError(f"T must be finite and > 0, got {T!r}")
-    return T
-
-
 def _weights(
     energies: list[float], degs: list[int], T: float
-) -> tuple[float, list[float]]:
-    """(e_min, [g_i exp(-(e_i - e_min) / T)]) for levels given as columns.
+) -> tuple[float, list[float], float]:
+    """(e_min, [g_i exp(-(e_i - e_min) / T)], Z) for levels given as columns.
 
     Shifting by the minimum energy keeps the largest weight at >= 1, so
     deep levels at tiny T do not underflow everything to zero; weights far
-    above the minimum may underflow to exactly 0.
+    above the minimum may underflow to exactly 0.  A Z beyond the float
+    range is a DomainError.
     """
     shift = min(energies)
     exp = math.exp
-    return shift, [g * exp(-(e - shift) / T) for e, g in zip(energies, degs)]
+    weights = [g * exp(-(e - shift) / T) for e, g in zip(energies, degs)]
+    try:
+        return shift, weights, math.fsum(weights)
+    except OverflowError:
+        raise DomainError("the partition sum overflows a float") from None
 
 
 def _occupations(ensemble: EnsembleSpec) -> tuple[list[float], list[int]]:
     """The occupations n_i and the degeneracies g_i, level by level."""
     levels = ensemble.levels
     degs = [lv.degeneracy for lv in levels]
-    _, weights = _weights([lv.energy for lv in levels], degs, ensemble.T)
-    Z = math.fsum(weights)
+    _, weights, Z = _weights([lv.energy for lv in levels], degs, ensemble.T)
     N = float(ensemble.N)  # the conversion N * w would make, done once
     return [N * w / Z for w in weights], degs
 
@@ -182,17 +138,21 @@ def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     Shifts by the minimum energy before exponentiating, so deep levels at
     tiny T do not underflow everything to zero.
     """
-    lvls = _as_levels(levels)
-    T = _check_temperature(T)
-    shift, weights = _weights(
-        [lv.energy for lv in lvls], [lv.degeneracy for lv in lvls], T
+    ensemble = EnsembleSpec(levels=levels, N=1, T=T)  # one particle; checks T
+    lvls = ensemble.levels
+    shift, _, Z = _weights(
+        [lv.energy for lv in lvls], [lv.degeneracy for lv in lvls], ensemble.T
     )
-    return -shift / T + math.log(math.fsum(weights))
+    return -shift / ensemble.T + math.log(Z)
 
 
 def partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     """Single-particle partition sum Z = sum g_i exp(-e_i / T)."""
-    return math.exp(log_partition_function(levels, T))
+    log_Z = log_partition_function(levels, T)
+    try:
+        return math.exp(log_Z)
+    except OverflowError:  # ln Z itself fits a float
+        raise DomainError(f"Z = exp({log_Z:.6g}) overflows a float") from None
 
 
 def occupations(ensemble: EnsembleSpec) -> np.ndarray:
@@ -209,10 +169,13 @@ def occupations(ensemble: EnsembleSpec) -> np.ndarray:
 def internal_energy(ensemble: EnsembleSpec) -> float:
     """U = sum n_i e_i at the most-probable occupations."""
     n, _ = _occupations(ensemble)
-    return math.fsum(n_i * lv.energy for n_i, lv in zip(n, ensemble.levels))
-
-
-_TWO_PI = 2.0 * math.pi  # as log_factorial_stirling's 2.0 * math.pi * x groups it
+    try:
+        U = math.fsum(n_i * lv.energy for n_i, lv in zip(n, ensemble.levels))
+    except (OverflowError, ValueError):  # the sum overflows; inf - inf
+        U = math.nan
+    if not math.isfinite(U):
+        raise DomainError(f"internal energy overflows a float at N = {ensemble.N:.6g}")
+    return U
 
 
 def _level_terms(
@@ -224,6 +187,7 @@ def _level_terms(
     expression that ``StirlingForm.log_factorial`` evaluates, so the terms
     are bit-identical to calling it level by level.  Occupations are
     finite and >= 0 by construction, which is all that method checks.
+    The caller has checked that ``stirling_form`` is a StirlingForm.
     """
     log = math.log
     if stirling_form is StirlingForm.TWO_TERM:
@@ -234,16 +198,19 @@ def _level_terms(
             for x, g in zip(n, degs)
             if x > 0.0
         ]
-    if stirling_form is StirlingForm.EXACT:
-        lgamma = math.lgamma
-        return [x * log(g) - lgamma(x + 1.0) for x, g in zip(n, degs) if x > 0.0]
-    raise DomainError(f"unknown stirling form: {stirling_form!r}")
+    lgamma = math.lgamma  # EXACT
+    return [x * log(g) - lgamma(x + 1.0) for x, g in zip(n, degs) if x > 0.0]
 
 
-def _check_entropy(S: float, N: int) -> None:
-    """Raise a DomainError for an entropy that left the float range."""
+def _entropy_result(
+    S: float, N: int, model: CountingModel, stirling_form: StirlingForm
+) -> EntropyResult:
+    """The one way an EntropyResult is made: S must be a finite float."""
     if not math.isfinite(S):
         raise DomainError(f"entropy overflows a float at N = {N:.6g} particles")
+    return EntropyResult(
+        S=S, per_particle=S / N, model=model, stirling_form=stirling_form
+    )
 
 
 def entropy_from_levels(
@@ -260,8 +227,8 @@ def entropy_from_levels(
     ~1e-9 relative in double precision.  An entropy beyond the float range
     is a DomainError.
     """
-    if not isinstance(model, CountingModel):
-        raise DomainError(f"unknown counting model: {model!r}")
+    _check.member(CountingModel, model)
+    _check.member(StirlingForm, stirling_form)
     n, degs = _occupations(ensemble)
     try:
         core = math.fsum(_level_terms(n, degs, stirling_form))
@@ -271,12 +238,9 @@ def entropy_from_levels(
             # gibbs-corrected == distinguishable - ln N!; bose-approximate
             # arrives at the same per-level sum from the multiset count
             S = core
-    except OverflowError:  # lgamma: some ln n! itself beyond the float range
-        S = math.nan
-    _check_entropy(S, ensemble.N)
-    return EntropyResult(
-        S=S, per_particle=S / ensemble.N, model=model, stirling_form=stirling_form
-    )
+    except (OverflowError, ValueError):  # ln n! (a DomainError) or the sum
+        S = math.nan  # beyond the float range; fsum raises ValueError on inf - inf
+    return _entropy_result(S, ensemble.N, model, stirling_form)
 
 
 def _ideal_gas_S(
@@ -297,7 +261,7 @@ def _ideal_gas_S(
     if model is not CountingModel.DISTINGUISHABLE and n > 0:
         try:
             S -= stirling_form.log_factorial(n)
-        except OverflowError:  # lgamma: ln n! itself beyond the float range
+        except DomainError:  # ln n! beyond the float range
             return -math.inf
     return S
 
@@ -319,18 +283,14 @@ def ideal_gas_entropy(
     pins down ``constant``.  An S beyond the float range (N ln N overflows
     near N = 1e306) is a DomainError.
     """
-    if not isinstance(model, CountingModel):
-        raise DomainError(f"unknown counting model: {model!r}")
-    N = _as_positive_count("N", N)
-    V = float(V)
-    if not (math.isfinite(V) and V > 0):
-        raise DomainError(f"V must be finite and > 0, got {V!r}")
-    T = _check_temperature(T)
-    S = _ideal_gas_S(float(N), V, T, model, stirling_form, float(constant))
-    _check_entropy(S, N)
-    return EntropyResult(
-        S=S, per_particle=S / N, model=model, stirling_form=stirling_form
-    )
+    _check.member(CountingModel, model)
+    _check.member(StirlingForm, stirling_form)
+    N = _check.count("N", N)
+    V = _check.positive("V", V)
+    T = _check.positive("T", T)
+    constant = _check.finite("constant", constant)
+    S = _ideal_gas_S(float(N), V, T, model, stirling_form, constant)
+    return _entropy_result(S, N, model, stirling_form)
 
 
 def gibbs_shannon_entropy(probabilities: Sequence[float]) -> float:

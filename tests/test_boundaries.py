@@ -1,0 +1,267 @@
+"""Input boundaries: what every public entry point rejects, and how.
+
+Counts are integers, never ``bool``; a number whose conversion to float
+overflows, or an ln n! beyond the float range, is a DomainError rather
+than a bare OverflowError.  The CLI turns every such rejection into exit
+code 1 or 2 with one line on stderr.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from mixent import (
+    CountingModel,
+    EnsembleSpec,
+    GasCompartment,
+    LevelSpec,
+    MixingScenario,
+    OccupationVector,
+    SpeciesOverlap,
+    StirlingForm,
+    binomial,
+    classical_symbol_states,
+    entropy_from_levels,
+    ideal_gas_entropy,
+    internal_energy,
+    log_factorial_exact,
+    log_factorial_stirling,
+    log_partition_function,
+    multiplicity_bose_approx,
+    multiplicity_bose_exact,
+    multiplicity_distinguishable,
+    overlap_weighted_mixing_entropy,
+    partition_change_entropy,
+    partition_function,
+    separation_work,
+)
+from mixent.cli import main
+from mixent.errors import DomainError
+
+BIG = 10**400  # beyond the float range
+EDGE = 10**308  # fits a float; the sum of two does not
+BITS = "must fit a float (at most about 1.8e308), got a 1329-bit integer"
+GIBBS = CountingModel.GIBBS_CORRECTED
+
+# (id, call, the message of the DomainError it raises)
+CONTRACT = [
+    # bool is not an integer
+    ("compartment-N-bool", lambda: GasCompartment("a", True, 1.0, 1.0),
+     "N must be an integer, got True"),
+    ("level-degeneracy-bool", lambda: LevelSpec(0.0, True),
+     "degeneracy must be an integer, got True"),
+    ("binomial-bool", lambda: binomial(True, False),
+     "N must be an integer, got True"),
+    ("occupation-bool", lambda: OccupationVector((True, 2)),
+     "occupation number must be an integer, got True"),
+    ("ensemble-N-bool", lambda: EnsembleSpec(levels=((0.0, 1),), N=True, T=1.0),
+     "N must be an integer, got True"),
+    ("compartment-V-bool", lambda: GasCompartment("a", 1, True, 1.0),
+     "V must be a real number, got True"),
+    ("overlap-bool", lambda: overlap_weighted_mixing_entropy(1.0, True),
+     "overlap must be a real number, got True"),
+    # an int beyond the float range
+    ("binomial-N", lambda: binomial(BIG, 1), f"N {BITS}"),
+    ("bose-approx-n", lambda: multiplicity_bose_approx(BIG, 2), f"n {BITS}"),
+    ("symbols-n", lambda: classical_symbol_states(BIG, 2), f"n {BITS}"),
+    ("bose-exact-g", lambda: multiplicity_bose_exact(5, BIG), f"g {BITS}"),
+    ("distinguishable-occupation",
+     lambda: multiplicity_distinguishable((BIG,), (1,)),
+     f"occupation number {BITS}"),
+    ("log-factorial-exact", lambda: log_factorial_exact(BIG), f"n {BITS}"),
+    ("log-factorial-method", lambda: StirlingForm.EXACT.log_factorial(BIG),
+     f"n {BITS}"),
+    ("level-energy", lambda: LevelSpec(BIG, 1), f"level energy {BITS}"),
+    ("compartment-V", lambda: GasCompartment("a", 1, BIG, 1.0), f"V {BITS}"),
+    ("ideal-gas-V", lambda: ideal_gas_entropy(1, BIG, 1.0, GIBBS), f"V {BITS}"),
+    ("ideal-gas-constant",
+     lambda: ideal_gas_entropy(1, 1.0, 1.0, GIBBS, constant=BIG),
+     f"constant {BITS}"),
+    ("separation-work-T", lambda: separation_work(1.0, BIG), f"T {BITS}"),
+    ("separation-work-delta", lambda: separation_work(BIG, 1.0), f"delta_S {BITS}"),
+    ("overlap", lambda: SpeciesOverlap("a", "b", BIG), f"overlap {BITS}"),
+    ("levels-degeneracy",
+     lambda: entropy_from_levels(
+         EnsembleSpec(levels=(LevelSpec(0.0, BIG),), N=10, T=1.0), GIBBS
+     ),
+     f"degeneracy {BITS}"),
+    # ln n! beyond the float range
+    ("log-factorial-overflow", lambda: log_factorial_exact(1e306),
+     "ln n! overflows a float at n = 1e+306"),
+    ("bose-approx-overflow", lambda: multiplicity_bose_approx(10**306, 2),
+     "ln n! overflows a float at n = 1e+306"),
+    # wrong types
+    ("scenario-compartment-type",
+     lambda: MixingScenario(compartments=(("a", 1, 1.0, 1.0),), final_volume=1.0),
+     "compartments must be GasCompartment, got ('a', 1, 1.0, 1.0)"),
+    ("ideal-gas-form", lambda: ideal_gas_entropy(1, 1.0, 1.0, GIBBS, "two-term"),
+     "unknown stirling form: 'two-term'"),
+    # text is not a number, although float() would parse it
+    ("log-factorial-str", lambda: StirlingForm.EXACT.log_factorial("3"),
+     "n must be a real number, got '3'"),
+    ("stirling-bytes", lambda: log_factorial_stirling(b"3"),
+     "n must be a real number, got b'3'"),
+    ("separation-work-str", lambda: separation_work("1", 1.0),
+     "delta_S must be a real number, got '1'"),
+    ("separation-work-none", lambda: separation_work(None, 1.0),
+     "delta_S must be a real number, got None"),
+    # every input fits a float, the result does not
+    ("log-partition-sum",
+     lambda: log_partition_function(((0.0, EDGE), (0.0, EDGE)), 1.0),
+     "the partition sum overflows a float"),
+    ("levels-partition-sum",
+     lambda: entropy_from_levels(
+         EnsembleSpec(levels=((0.0, EDGE), (0.0, EDGE)), N=10, T=1.0), GIBBS
+     ),
+     "the partition sum overflows a float"),
+    ("partition-function", lambda: partition_function(((-1000.0, 1),), 1.0),
+     "Z = exp(1000) overflows a float"),
+    ("internal-energy",
+     lambda: internal_energy(
+         EnsembleSpec(levels=((1.9, 1), (1.9, 1)), N=17 * 10**307, T=1.0)
+     ),
+     "internal energy overflows a float at N = 1.7e+308"),
+    ("partition-change-volume",
+     lambda: partition_change_entropy(2, 5e-324, 1.0, 2, GIBBS),
+     "V / parts underflows to 0 at V = 5e-324, parts = 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [row[1:] for row in CONTRACT], ids=[row[0] for row in CONTRACT]
+)
+def test_rejected_with_domain_error(call, message):
+    with pytest.raises(DomainError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_count_limit_is_where_float_conversion_overflows():
+    limit = 2**1024 - 2**970
+    assert float(limit - 1) == 1.7976931348623157e308
+    with pytest.raises(OverflowError):
+        float(limit)
+    assert GasCompartment("a", limit - 1, 1.0, 1.0).N == limit - 1
+    with pytest.raises(DomainError, match="1024-bit integer"):
+        GasCompartment("a", limit, 1.0, 1.0)
+
+
+def test_int_and_float_likes_are_converted():
+    np = pytest.importorskip("numpy")
+    c = GasCompartment("a", np.int64(10), np.float32(0.5), np.float64(2.0))
+    assert c == GasCompartment("a", 10, 0.5, 2.0)
+    assert (type(c.N), type(c.V), type(c.T)) == (int, float, float)
+    level = LevelSpec(np.float32(1.5), np.int32(3))
+    assert level == LevelSpec(1.5, 3)
+    assert (type(level.energy), type(level.degeneracy)) == (float, int)
+    assert SpeciesOverlap("a", "b", np.float32(0.25)).overlap == 0.25
+    assert binomial(np.int64(10), np.uint8(3)).value == 120
+
+
+def run(capsys, argv):
+    """main()'s exit code, with argparse's SystemExit read as one."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+DIGITS = "1" + "0" * 400
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios/distinct_half.scenario"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["count", "binomial", DIGITS, "1"], "N"),
+        (["count", "bose-approx", DIGITS, "2"], "n"),
+        (["count", "symbols", DIGITS, "2"], "n"),
+        (["count", "bose", "5", DIGITS], "g"),
+        (["entropy", "--N", "10", "--T", "1", "--levels", f"0:{DIGITS},1:1"],
+         "degeneracy"),
+    ],
+)
+def test_cli_over_range_int_names_the_argument(capsys, argv, name):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} {BITS}\n"
+
+
+def test_cli_partition_sum_overflow_is_one_error_line(capsys):
+    levels = f"0:{EDGE},0:{EDGE}"
+    argv = ["entropy", "--N", "10", "--T", "1", "--levels", levels]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the partition sum overflows a float\n"
+
+
+# The first three are ints, which the size-driven slots below leave out
+HUGE = [DIGITS, "-" + DIGITS, str(EDGE)]
+BAD_VALUES = HUGE + ["inf", "nan", "0", "-1"]
+
+# Each template takes one value, in one or two places.  Left out on
+# purpose: huge values for sweep-overlap --points and oracle-check --max-n,
+# which are valid requests for that much work (every grid point, every N
+# up to the size guard).
+ARGV_SLOTS = [
+    "count binomial {} 2",
+    "count binomial 5 {}",
+    "count bose {} 2",
+    "count bose 3 {}",
+    "count bose-approx {} 2",
+    "count bose-approx 3 {}",
+    "count symbols {} 2",
+    "count symbols 3 {}",
+    "count multiplicity --occ {},1 --deg 2,3",
+    "count multiplicity --occ 2,1 --deg {},3",
+    "entropy --N {} --T 1 --V 1",
+    "entropy --N 10 --T {} --V 1",
+    "entropy --N 10 --T 1 --V {}",
+    "entropy --N 10 --T 1 --V 1 --constant {}",
+    "entropy --N {} --T 1 --levels 0:1,1:2",
+    "entropy --N 10 --T {} --levels 0:1,1:2",
+    "entropy --N 10 --T 1 --levels {}:1,1:2",
+    "entropy --N 10 --T 1 --levels 0:{},1:2",
+    "entropy --N 10 --T 1 --levels 0:{0},0:{0}",
+]
+SCENARIO_SLOTS = [
+    "compartment = a {} 1.0 1.0\ncompartment = b 10 1.0 1.0\n",
+    "compartment = a 10 {} 1.0\ncompartment = b 10 1.0 1.0\n",
+    "compartment = a 10 {} 1.0\ncompartment = b 10 {} 1.0\n",
+    "compartment = a 10 1.0 {}\ncompartment = b 10 1.0 {}\n",
+    "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 1.0\noverlap = a b {}\n",
+    "final_volume = {}\ncompartment = a 10 1.0 1.0\n",
+]
+
+
+def _sweep_cases():
+    for template in ARGV_SLOTS:
+        for value in BAD_VALUES:
+            yield template.format(value).split(), None
+    for template in SCENARIO_SLOTS:
+        for value in BAD_VALUES:
+            text = template.format(value, value)
+            yield ["mix", "--scenario"], text
+            yield ["sweep-overlap", "--points", "3", "--scenario"], text
+    for value in BAD_VALUES[len(HUGE):]:
+        yield ["sweep-overlap", "--scenario", str(SCENARIO), "--points", value], None
+        yield ["oracle-check", "--max-n", value], None
+
+
+def test_cli_exit_code_contract(capsys, tmp_path, monkeypatch):
+    """Adversarial numbers in every numeric slot: exit 0, 1 or 2, one line."""
+    monkeypatch.delenv("MIXENT_KB", raising=False)
+    path = tmp_path / "sweep.scenario"
+    for argv, text in _sweep_cases():
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+            argv = argv + [str(path)]
+        code, out, err = run(capsys, argv)
+        assert code in (0, 1, 2), argv
+        assert err.count("\n") <= 1, (argv, err)
+        assert (code == 0) == (err == ""), (argv, err)
