@@ -23,7 +23,6 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .combinatorics import (
     Count,
@@ -48,19 +47,6 @@ from .statmech import (
 
 KB_SI = 1.380649e-23  # J/K
 
-_RECORD_FIELDS = (
-    "scenario",
-    "model",
-    "stirling_form",
-    "weighting",
-    "overlap",
-    "S_initial",
-    "S_final",
-    "delta_S",
-    "separation_work",
-    "units",
-)
-
 
 class _UsageError(Exception):
     """Bad arguments detected after argparse; maps to exit code 2."""
@@ -77,6 +63,32 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+def _digits(value: int) -> str:
+    """Decimal text of an exact count of any size.
+
+    str() stops at the interpreter's 4,300-digit limit, a process-wide
+    setting this leaves alone.  The binary halves are joined in decimal
+    arithmetic instead (the divide-and-conquer conversion of later Pythons),
+    so the time grows like a decimal product, not quadratically.
+    """
+    if value.bit_length() <= 4096:  # at most 1,234 digits
+        return str(value)
+    import decimal
+
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+
+    def join(n: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(n)
+        half = bits // 2
+        hi, lo = join(n >> half, bits - half), join(n & ((1 << half) - 1), half)
+        return ctx.fma(hi, ctx.power(2, half), lo)
+
+    return str(join(value, value.bit_length()))
+
+
 def _resolve_units() -> tuple[float, str]:
     mode = os.environ.get("MIXENT_KB", "reduced").strip().lower() or "reduced"
     if mode == "reduced":
@@ -86,72 +98,49 @@ def _resolve_units() -> tuple[float, str]:
     raise DomainError(f"MIXENT_KB must be 'reduced' or 'si', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    scenario: str
-    model: str
-    stirling_form: str
-    weighting: str
-    overlap: float
-    S_initial: float
-    S_final: float
-    delta_S: float
-    separation_work: float
-    units: str
+def _emit(rows: list[dict[str, object]], fmt: str) -> None:
+    """Rows of column name -> value; floats print to 12 significant digits.
 
-
-def _record_cells(record: OutputRecord) -> list[str]:
-    cells = []
-    for name in _RECORD_FIELDS:
-        value = getattr(record, name)
-        cells.append(_fmt(value) if isinstance(value, float) else str(value))
-    return cells
-
-
-def _emit_csv(records: list[OutputRecord]) -> str:
-    lines = [",".join(_RECORD_FIELDS)]
-    lines.extend(",".join(_record_cells(r)) for r in records)
-    return "\n".join(lines) + "\n"
-
-
-def _emit_json(records: list[OutputRecord]) -> str:
-    # numbers are emitted as 12-significant-digit literals, so the JSON
-    # text itself is deterministic, not just the parsed values
-    items = []
-    for record in records:
-        pairs = []
-        for name in _RECORD_FIELDS:
-            value = getattr(record, name)
-            rendered = _fmt(value) if isinstance(value, float) else json.dumps(value)
-            pairs.append(f'"{name}": {rendered}')
-        items.append("  {" + ", ".join(pairs) + "}")
-    return "[\n" + ",\n".join(items) + "\n]\n"
-
-
-def _emit(records: list[OutputRecord], fmt: str) -> None:
-    text = _emit_csv(records) if fmt == "csv" else _emit_json(records)
+    JSON numbers are emitted as such literals too, so the JSON text
+    itself is deterministic, not just the parsed values.
+    """
+    quote = str if fmt == "csv" else json.dumps
+    cells = [
+        [_fmt(v) if isinstance(v, float) else quote(v) for v in row.values()]
+        for row in rows
+    ]
+    if fmt == "csv":
+        lines = [",".join(rows[0])] + [",".join(c) for c in cells]
+        text = "\n".join(lines) + "\n"
+    else:
+        items = [
+            "  {" + ", ".join(f'"{k}": {v}' for k, v in zip(row, c)) + "}"
+            for row, c in zip(rows, cells)
+        ]
+        text = "[\n" + ",\n".join(items) + "\n]\n"
     sys.stdout.write(text)
 
 
-def _report_record(
+def _report_row(
     scenario_id: str,
     scenario: MixingScenario,
     report,
     scale: float,
     units: str,
-) -> OutputRecord:
-    return OutputRecord(
-        scenario=scenario_id,
-        model=scenario.model.value,
-        stirling_form=scenario.stirling_form.value,
-        weighting=scenario.weighting.value,
-        overlap=report.overlap_applied,
-        S_initial=report.S_initial.S * scale,
-        S_final=report.S_final.S * scale,
-        delta_S=report.delta_S * scale,
-        separation_work=report.separation_work * scale,
-        units=units,
-    )
+) -> dict[str, object]:
+    """One output row: the CSV/JSON columns, in order."""
+    return {
+        "scenario": scenario_id,
+        "model": scenario.model.value,
+        "stirling_form": scenario.stirling_form.value,
+        "weighting": scenario.weighting.value,
+        "overlap": report.overlap_applied,
+        "S_initial": report.S_initial.S * scale,
+        "S_final": report.S_final.S * scale,
+        "delta_S": report.delta_S * scale,
+        "separation_work": report.separation_work * scale,
+        "units": units,
+    }
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -202,10 +191,7 @@ def _cmd_count(args: argparse.Namespace, scale: float, units: str) -> int:
             count = Count.log_only(multiplicity_bose_approx(a, b))
         else:  # symbols
             count = classical_symbol_states(a, b)
-    if count.is_log_only:
-        print("value = (log-only)")
-    else:
-        print(f"value = {count.value}")
+    print(f"value = {'(log-only)' if count.is_log_only else _digits(count.value)}")
     print(f"log_value = {_fmt(count.log_value)}")
     return 0
 
@@ -233,10 +219,8 @@ def _cmd_entropy(args: argparse.Namespace, scale: float, units: str) -> int:
 def _cmd_mix(args: argparse.Namespace, scale: float, units: str) -> int:
     scenario_file = load_scenario(args.scenario)
     report = mixing_entropy(scenario_file.scenario)
-    record = _report_record(
-        scenario_file.id, scenario_file.scenario, report, scale, units
-    )
-    _emit([record], args.format)
+    row = _report_row(scenario_file.id, scenario_file.scenario, report, scale, units)
+    _emit([row], args.format)
     return 0
 
 
@@ -246,7 +230,7 @@ def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> in
     scenario_file = load_scenario(args.scenario)
     base = scenario_file.scenario
     species = base.species()
-    records = []
+    rows = []
     for i in range(args.points):
         q = i / (args.points - 1)
         overlaps = tuple(
@@ -255,10 +239,8 @@ def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> in
         )
         scenario = dataclasses.replace(base, overlaps=overlaps)
         report = mixing_entropy(scenario)
-        records.append(
-            _report_record(scenario_file.id, scenario, report, scale, units)
-        )
-    _emit(records, args.format)
+        rows.append(_report_row(scenario_file.id, scenario, report, scale, units))
+    _emit(rows, args.format)
     return 0
 
 

@@ -87,6 +87,8 @@ class Count:
     def log_only(cls, log_value: float) -> "Count":
         if math.isnan(log_value):
             raise DomainError("log_value must not be NaN")
+        if log_value == _INF:  # -inf stays: it is the zero count
+            raise DomainError("ln of the count overflows a float")
         return cls(log_value=float(log_value), value=None)
 
     @property
@@ -155,30 +157,42 @@ class StirlingForm(Enum):
     def log_factorial(self, n: float) -> float:
         """ln n! under this form, for real n >= 0.
 
-        The one definition of ln n! in the package.  Occupation numbers in
-        entropy formulas are generally not integers, so this accepts any
-        nonnegative real.  n == 0 returns 0 (the factorial limit) under
-        every form; the Stirling expressions are poor for small nonzero n,
-        which is the form's own failure mode rather than this function's.
-        An n or an ln n! beyond the float range is a DomainError.
+        Occupation numbers in entropy formulas are generally not integers,
+        so this accepts any nonnegative real.  n == 0 returns 0 (the
+        factorial limit) under every form; the Stirling expressions are
+        poor for small nonzero n, which is the form's own failure mode
+        rather than this function's.  An n or an ln n! beyond the float
+        range is a DomainError.  The value is ``_log_factorials`` at n.
         """
         x = _check.finite("n", n)
         if x < 0.0:
             raise DomainError(f"log_factorial needs n >= 0, got {n!r}")
-        if self is StirlingForm.EXACT:
-            try:
-                return math.lgamma(x + 1.0)
-            except OverflowError:
-                value = _INF
-        elif x == 0.0:
-            return 0.0
-        else:
-            value = x * math.log(x) - x
-            if self is StirlingForm.THREE_TERM:
-                value += 0.5 * math.log(_TWO_PI * x)
+        (value,) = self._log_factorials((x,))
         if value == _INF:
             raise DomainError(f"ln n! overflows a float at n = {x:.6g}")
         return value
+
+    def _log_factorials(self, xs: Sequence[float]) -> list[float]:
+        """ln x! under this form for a column of finite reals x >= 0.
+
+        The one definition of ln n! in the package: one comprehension per
+        form, 0 at x == 0 under every form, and inf where ln x! leaves the
+        float range.  Callers check the column; nothing here does.
+        """
+        log = math.log
+        if self is StirlingForm.TWO_TERM:
+            return [x * log(x) - x if x else 0.0 for x in xs]
+        if self is StirlingForm.THREE_TERM:
+            return [
+                (x * log(x) - x) + 0.5 * log(_TWO_PI * x) if x else 0.0 for x in xs
+            ]
+        lgamma = math.lgamma  # EXACT: lgamma(1.0) is 0.0
+        try:
+            return [lgamma(x + 1.0) for x in xs]
+        except OverflowError:  # lgamma raises where the Stirling forms give inf
+            if len(xs) == 1:
+                return [_INF]
+            return [self._log_factorials((x,))[0] for x in xs]
 
 
 def log_factorial_exact(n: int | float) -> float:

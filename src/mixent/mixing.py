@@ -290,23 +290,23 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     T = scenario.temperature
     model = scenario.model
     form = scenario.stirling_form
-
-    S_initial = sum(
-        _ideal_gas_S(float(c.N), c.V, T, model, form, 0.0)
-        for c in scenario.compartments
-    )
-
-    per_species: dict[str, int] = {}
-    for c in scenario.compartments:
-        per_species[c.species] = per_species.get(c.species, 0) + c.N
+    comps = scenario.compartments
     N_total = scenario.total_particles
-    V_final = scenario.final_volume
 
-    S_final_distinct = sum(
-        _ideal_gas_S(float(n), V_final, T, model, form, 0.0)
-        for n in per_species.values()
+    S_initial = sum(  # in compartment order
+        _ideal_gas_S(
+            [float(c.N) for c in comps], [c.V for c in comps], T, model, form, 0.0
+        )
     )
-    S_final_identical = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
+    per_species: dict[str, int] = {}
+    for c in comps:
+        per_species[c.species] = per_species.get(c.species, 0) + c.N
+    # each species alone in the final volume, then all N as one species
+    ns = [float(n) for n in per_species.values()] + [float(N_total)]
+    *S_species, S_final_identical = _ideal_gas_S(
+        ns, [scenario.final_volume] * len(ns), T, model, form, 0.0
+    )
+    S_final_distinct = sum(S_species)
     initial = _entropy_result(S_initial, N_total, model, form)
 
     q = _effective_overlap(scenario)
@@ -372,10 +372,11 @@ def partition_change_entropy(
     V_part = V / parts
     if V_part == 0.0:
         raise DomainError(f"V / parts underflows to 0 at V = {V!r}, parts = {parts}")
-    S_joined = _ideal_gas_S(float(N), V, T, model, stirling_form, 0.0)
-    S_parted = parts * _ideal_gas_S(N / parts, V_part, T, model, stirling_form, 0.0)
+    S_joined, S_part = _ideal_gas_S(
+        [float(N), N / parts], [V, V_part], T, model, stirling_form, 0.0
+    )
     joined = _entropy_result(S_joined, N, model, stirling_form)
-    parted = _entropy_result(S_parted, N, model, stirling_form)
+    parted = _entropy_result(parts * S_part, N, model, stirling_form)
 
     initial, final = (parted, joined) if exact_corrected else (joined, parted)
     delta_S = final.S - initial.S

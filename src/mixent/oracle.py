@@ -15,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import _check, combinatorics
 from .combinatorics import OccupationVector
@@ -131,17 +131,20 @@ def enumerate_assignments(
     of its substates' weights (see _substate_weights) and counted once;
     the last k particles' keys are built once, and each key of the first
     N - k particles is added to all of them at C speed.  Raises
-    OracleSizeError when the assignment count exceeds ASSIGNMENT_GUARD.
+    OracleSizeError when the assignment count exceeds ASSIGNMENT_GUARD
+    (a single substate counting as two).
     """
     N = _check.integer("N", N)
     cells = _as_cells(cells)
     G = cells.total_substates
-    n_assignments = G**N
-    if n_assignments > ASSIGNMENT_GUARD:
+    # decided before any power: 2**N > the guard once N reaches its bit
+    # length, and one substate counts as two (each assignment costs N steps)
+    if N >= ASSIGNMENT_GUARD.bit_length() or max(G, 2) ** N > ASSIGNMENT_GUARD:
         raise OracleSizeError(
-            f"{G}^{N} = {n_assignments} assignments exceeds the "
-            f"enumeration guard {ASSIGNMENT_GUARD}"
+            f"labeled enumeration of N = {N} particles over G = {G} substates "
+            f"exceeds the guard of {ASSIGNMENT_GUARD} assignments"
         )
+    n_assignments = G**N
     weight = _substate_weights(cells, N)
     k = _suffix_length(G, N)
     suffix = list(map(sum, itertools.product(weight, repeat=k)))
@@ -165,18 +168,23 @@ def enumerate_indistinct(
 
     Each distinct multiset (pattern) counts once, matching bosonic state
     counting; patterns are keyed as in enumerate_assignments.  Raises
-    OracleSizeError when the pattern count exceeds INDISTINCT_GUARD (the
-    guard itself is a size precheck; the reported total still comes from
-    actual iteration).
+    OracleSizeError when the pattern count exceeds INDISTINCT_GUARD (a
+    single substate counting as two; the guard itself is a size precheck,
+    the reported total still comes from actual iteration).
     """
     N = _check.integer("N", N)
     cells = _as_cells(cells)
     G = cells.total_substates
-    n_patterns = math.comb(N + G - 1, N)
-    if n_patterns > INDISTINCT_GUARD:
+    m = max(G, 2) - 1  # one substate counts as two, as in enumerate_assignments
+    # C(N + m, N) >= 2**min(N, m), so the binomial is needed only while that
+    # minimum is small, and math.comb is then cheap
+    if (
+        min(N, m) >= INDISTINCT_GUARD.bit_length()
+        or math.comb(N + m, N) > INDISTINCT_GUARD
+    ):
         raise OracleSizeError(
-            f"{n_patterns} multiset patterns exceeds the enumeration "
-            f"guard {INDISTINCT_GUARD}"
+            f"unlabeled enumeration of N = {N} particles over G = {G} substates "
+            f"exceeds the guard of {INDISTINCT_GUARD} multiset patterns"
         )
     weight = _substate_weights(cells, N)
     tally = Counter(
@@ -220,6 +228,26 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _occupation_check(
+    identity: str,
+    tally: EnumerationResult,
+    predict: Callable[[OccupationVector], int | None],
+) -> IdentityCheck:
+    """Enumerated count == predicted count for every occupation vector,
+    in sorted order; a failure names the first mismatch."""
+    for occ, seen in sorted(tally.by_occupation.items(), key=lambda kv: kv[0].counts):
+        predicted = predict(occ)
+        if predicted != seen:
+            return IdentityCheck(
+                identity,
+                False,
+                f"occupation {occ.counts}: enumerated {seen}, formula {predicted}",
+            )
+    return IdentityCheck(
+        identity, True, f"{len(tally.by_occupation)} occupation vectors agree"
+    )
+
+
 def verify_counting(
     N: int, cells: CellSpec | tuple[int, ...]
 ) -> VerificationReport:
@@ -233,72 +261,27 @@ def verify_counting(
     """
     cells = _as_cells(cells)
     degs = cells.degeneracies
-    checks: list[IdentityCheck] = []
 
     labeled = enumerate_assignments(N, cells)
-    mismatch = None
-    for occ, seen in sorted(labeled.by_occupation.items(), key=lambda kv: kv[0].counts):
-        predicted = combinatorics.multiplicity_distinguishable(occ, degs).value
-        if predicted != seen:
-            mismatch = (occ, seen, predicted)
-            break
-    if mismatch is None:
-        checks.append(
-            IdentityCheck(
-                "distinguishable-multiplicity",
-                True,
-                f"{len(labeled.by_occupation)} occupation vectors agree",
-            )
-        )
-    else:
-        occ, seen, predicted = mismatch
-        checks.append(
-            IdentityCheck(
-                "distinguishable-multiplicity",
-                False,
-                f"occupation {occ.counts}: enumerated {seen}, formula {predicted}",
-            )
-        )
-
+    distinguishable = _occupation_check(
+        "distinguishable-multiplicity",
+        labeled,
+        lambda occ: combinatorics.multiplicity_distinguishable(occ, degs).value,
+    )
     predicted_total = combinatorics.classical_symbol_states(
         N, cells.total_substates
     ).value
-    checks.append(
-        IdentityCheck(
-            "classical-total",
-            labeled.total == predicted_total,
-            f"enumerated {labeled.total}, formula {predicted_total}",
-        )
+    total = IdentityCheck(
+        "classical-total",
+        labeled.total == predicted_total,
+        f"enumerated {labeled.total}, formula {predicted_total}",
     )
-
-    unlabeled = enumerate_indistinct(N, cells)
-    mismatch = None
-    for occ, seen in sorted(
-        unlabeled.by_occupation.items(), key=lambda kv: kv[0].counts
-    ):
-        predicted = math.prod(
+    bose = _occupation_check(
+        "bose-multiplicity",
+        enumerate_indistinct(N, cells),
+        lambda occ: math.prod(
             combinatorics.multiplicity_bose_exact(n_i, g_i).value
             for n_i, g_i in zip(occ, degs)
-        )
-        if predicted != seen:
-            mismatch = (occ, seen, predicted)
-            break
-    if mismatch is None:
-        checks.append(
-            IdentityCheck(
-                "bose-multiplicity",
-                True,
-                f"{len(unlabeled.by_occupation)} occupation vectors agree",
-            )
-        )
-    else:
-        occ, seen, predicted = mismatch
-        checks.append(
-            IdentityCheck(
-                "bose-multiplicity",
-                False,
-                f"occupation {occ.counts}: enumerated {seen}, formula {predicted}",
-            )
-        )
-
-    return VerificationReport(N=N, cells=cells, checks=tuple(checks))
+        ),
+    )
+    return VerificationReport(N=N, cells=cells, checks=(distinguishable, total, bose))

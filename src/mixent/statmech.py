@@ -31,7 +31,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _check
-from .combinatorics import _TWO_PI, StirlingForm
+from .combinatorics import StirlingForm
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -178,30 +178,6 @@ def internal_energy(ensemble: EnsembleSpec) -> float:
     return U
 
 
-def _level_terms(
-    n: list[float], degs: list[int], stirling_form: StirlingForm
-) -> list[float]:
-    """Per-level n ln g - ln n! over the occupied levels (n > 0).
-
-    One comprehension per form, each spelling out the same floating-point
-    expression that ``StirlingForm.log_factorial`` evaluates, so the terms
-    are bit-identical to calling it level by level.  Occupations are
-    finite and >= 0 by construction, which is all that method checks.
-    The caller has checked that ``stirling_form`` is a StirlingForm.
-    """
-    log = math.log
-    if stirling_form is StirlingForm.TWO_TERM:
-        return [x * log(g) - (x * log(x) - x) for x, g in zip(n, degs) if x > 0.0]
-    if stirling_form is StirlingForm.THREE_TERM:
-        return [
-            x * log(g) - ((x * log(x) - x) + 0.5 * log(_TWO_PI * x))
-            for x, g in zip(n, degs)
-            if x > 0.0
-        ]
-    lgamma = math.lgamma  # EXACT
-    return [x * log(g) - lgamma(x + 1.0) for x, g in zip(n, degs) if x > 0.0]
-
-
 def _entropy_result(
     S: float, N: int, model: CountingModel, stirling_form: StirlingForm
 ) -> EntropyResult:
@@ -230,8 +206,15 @@ def entropy_from_levels(
     _check.member(CountingModel, model)
     _check.member(StirlingForm, stirling_form)
     n, degs = _occupations(ensemble)
+    log = math.log
     try:
-        core = math.fsum(_level_terms(n, degs, stirling_form))
+        # n ln g - ln n! per level; empty levels add 0.0
+        core = math.fsum(
+            [
+                x * log(g) - lf
+                for x, g, lf in zip(n, degs, stirling_form._log_factorials(n))
+            ]
+        )
         if model is CountingModel.DISTINGUISHABLE:
             S = stirling_form.log_factorial(float(ensemble.N)) + core
         else:
@@ -244,26 +227,29 @@ def entropy_from_levels(
 
 
 def _ideal_gas_S(
-    n: float,
-    V: float,
+    ns: list[float],
+    Vs: list[float],
     T: float,
     model: CountingModel,
     stirling_form: StirlingForm,
     constant: float,
-) -> float:
-    """Ideal-gas entropy for a (possibly non-integer) particle number.
+) -> list[float]:
+    """Ideal-gas entropies over columns of particle numbers n and volumes V.
 
     S = n ln V + (3/2) n ln T + C, minus ln n! under the chosen form for
-    the corrected models.  Shared by the public integer-N wrapper and the
-    mixing code, which slices gases into real-valued parts.
+    the corrected models.  n may be non-integer: the mixing code slices
+    gases into real-valued parts.  Where ln n! leaves the float range, S
+    is -inf or NaN, which the callers' result checks reject.
     """
-    S = n * math.log(V) + 1.5 * n * math.log(T) + constant
-    if model is not CountingModel.DISTINGUISHABLE and n > 0:
-        try:
-            S -= stirling_form.log_factorial(n)
-        except DomainError:  # ln n! beyond the float range
-            return -math.inf
-    return S
+    if model is CountingModel.DISTINGUISHABLE:
+        lfs = [0.0] * len(ns)  # x - 0.0 is x, -0.0 and inf included
+    else:
+        lfs = stirling_form._log_factorials(ns)
+    log = math.log
+    log_T = log(T)
+    return [
+        n * log(V) + 1.5 * n * log_T + constant - lf for n, V, lf in zip(ns, Vs, lfs)
+    ]
 
 
 def ideal_gas_entropy(
@@ -289,7 +275,7 @@ def ideal_gas_entropy(
     V = _check.positive("V", V)
     T = _check.positive("T", T)
     constant = _check.finite("constant", constant)
-    S = _ideal_gas_S(float(N), V, T, model, stirling_form, constant)
+    (S,) = _ideal_gas_S([float(N)], [V], T, model, stirling_form, constant)
     return _entropy_result(S, N, model, stirling_form)
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mixent import (
+    Count,
     CountingModel,
     EnsembleSpec,
     GasCompartment,
@@ -92,6 +93,11 @@ CONTRACT = [
      "ln n! overflows a float at n = 1e+306"),
     ("bose-approx-overflow", lambda: multiplicity_bose_approx(10**306, 2),
      "ln n! overflows a float at n = 1e+306"),
+    # a log-only count beyond the float range
+    ("symbols-log-overflow", lambda: classical_symbol_states(EDGE, EDGE),
+     "ln of the count overflows a float"),
+    ("log-only-inf", lambda: Count.log_only(float("inf")),
+     "ln of the count overflows a float"),
     # wrong types
     ("scenario-compartment-type",
      lambda: MixingScenario(compartments=(("a", 1, 1.0, 1.0),), final_volume=1.0),

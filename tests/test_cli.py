@@ -11,6 +11,7 @@ import pytest
 import mixent.combinatorics
 from mixent.cli import KB_SI, main
 from mixent.combinatorics import Count
+from mixent.oracle import FIXED_CELL_SUITE
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 LN2 = math.log(2)
@@ -63,6 +64,24 @@ class TestCount:
         code, out, _ = run(capsys, "count", "binomial", "6000", "3000")
         assert code == 0
         assert "value = (log-only)" in out
+
+    def test_exact_value_beyond_str_digit_limit(self, capsys):
+        # 5,001 digits: str() of the int stops at 4,300
+        code, out, err = run(capsys, "count", "symbols", "5000", "10")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "value = 1" + "0" * 5000
+
+    def test_long_exact_value_digits(self, capsys):
+        # 3,381 digits, joined from binary halves: str() itself agrees here
+        code, out, _ = run(capsys, "count", "symbols", "4000", "7")
+        assert code == 0
+        assert out.splitlines()[0] == f"value = {7**4000}"
+
+    def test_overflowing_log_count_exit_1(self, capsys):
+        big = str(10**308)
+        code, out, err = run(capsys, "count", "symbols", big, big)
+        assert (code, out) == (1, "")
+        assert err == "error: ln of the count overflows a float\n"
 
     def test_domain_error_exit_1(self, capsys):
         code, out, err = run(capsys, "count", "binomial", "3", "5")
@@ -371,6 +390,17 @@ class TestOracleCheck:
     def test_negative_max_n_exit_2(self, capsys):
         code, _, err = run(capsys, "oracle-check", "--max-n", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("max_n", range(10))
+    def test_stdout_lines(self, capsys, max_n):
+        lines = [
+            f"ok N={N} cells=({','.join(map(str, cells))}) 3 identities"
+            for cells in FIXED_CELL_SUITE
+            for N in range(max_n + 1)
+        ]
+        lines.append(f"all identities verified: {len(lines)} cases")
+        code, out, err = run(capsys, "oracle-check", "--max-n", str(max_n))
+        assert (code, out, err) == (0, "\n".join(lines) + "\n", "")
 
 
 class TestTopLevel:

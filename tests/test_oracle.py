@@ -102,6 +102,19 @@ class TestEnumerateAssignments:
         with pytest.raises(OracleSizeError):
             enumerate_assignments(20, (3, 2))
 
+    @pytest.mark.parametrize("N, degs", [(10**5, (1, 1)), (10**6, (1,)), (27, (1,))])
+    def test_size_guard_decides_before_any_power(self, N, degs):
+        # 2**100000 has too many digits for an error message, and one
+        # substate passes a G**N guard at any N although the work grows
+        with pytest.raises(OracleSizeError, match="exceeds the guard") as exc:
+            enumerate_assignments(N, degs)
+        assert len(str(exc.value)) < 200
+
+    def test_one_substate_below_the_guard(self):
+        result = enumerate_assignments(26, (1,))
+        assert result.total == 1
+        assert result.by_occupation == {occ(26): 1}
+
     def test_deterministic(self):
         a = enumerate_assignments(4, (2, 2))
         b = enumerate_assignments(4, (2, 2))
@@ -189,6 +202,14 @@ class TestEnumerateIndistinct:
     def test_size_guard(self):
         with pytest.raises(OracleSizeError):
             enumerate_indistinct(60, (15, 15))
+
+    @pytest.mark.parametrize("N, degs", [(10**5, (10**5,)), (10**7, (1,))])
+    def test_size_guard_decides_before_any_binomial(self, N, degs):
+        # C(199999, 100000) has too many digits for an error message, and
+        # one substate passes a pattern-count guard although the work grows
+        with pytest.raises(OracleSizeError, match="exceeds the guard") as exc:
+            enumerate_indistinct(N, degs)
+        assert len(str(exc.value)) < 200
 
 
 class TestVerifyCounting:

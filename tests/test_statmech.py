@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -257,6 +258,52 @@ class TestLevelKernelsBitIdentical:
         ens = EnsembleSpec(levels=TWO_LEVELS, N=10, T=1.0)
         with pytest.raises(DomainError, match="unknown stirling form"):
             entropy_from_levels(ens, CountingModel.GIBBS_CORRECTED, "two-term")
+
+
+class _Sentinel(Exception):
+    pass
+
+
+class TestOneLogFactorial:
+    """Every ln n! in the package goes through StirlingForm._log_factorials:
+    with it patched to raise, each entry point that takes an ln n! raises."""
+
+    @staticmethod
+    def calls():
+        from mixent.mixing import (
+            GasCompartment,
+            MixingScenario,
+            mixing_entropy,
+            partition_change_entropy,
+        )
+
+        ens = EnsembleSpec(levels=TWO_LEVELS, N=10, T=1.0)
+        gas = (GasCompartment("a", 3, 1.0, 1.0), GasCompartment("b", 5, 2.0, 1.0))
+        corrected = (CountingModel.GIBBS_CORRECTED, CountingModel.BOSE_APPROXIMATE)
+        for form in StirlingForm:
+            yield partial(form.log_factorial, 4.0)
+            for model in CountingModel:
+                yield partial(entropy_from_levels, ens, model, form)
+            for model in corrected:
+                yield partial(ideal_gas_entropy, 10, 1.0, 1.0, model, form)
+                yield partial(partition_change_entropy, 10, 1.0, 1.0, 2, model, form)
+                scenario = MixingScenario.from_compartments(
+                    gas, model=model, stirling_form=form
+                )
+                yield partial(mixing_entropy, scenario)
+
+    def test_patched_column_method_is_reached(self, monkeypatch):
+        def boom(self, xs):
+            raise _Sentinel
+
+        calls = list(self.calls())
+        for call in calls:
+            call()  # unpatched, every call succeeds
+        monkeypatch.setattr(StirlingForm, "_log_factorials", boom)
+        for call in calls:
+            with pytest.raises(_Sentinel):
+                call()
+        assert len(calls) == 3 * (1 + 3 + 2 * 3)
 
 
 class TestIdealGasEntropy:
