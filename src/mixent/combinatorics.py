@@ -281,14 +281,20 @@ def multiplicity_gibbs_corrected(
     is populated only when it happens to be integral and small enough,
     otherwise the Count is log-only.  ``log_value`` is always the
     distinguishable log minus ln N!, so the defining identity holds to the
-    last bit.  For the exact rational, see
-    :func:`multiplicity_gibbs_corrected_exact`.
+    last bit.  The exact quotient is formed only when N is within
+    ``exact_limit`` and ``log_value`` is at least -1: an integral quotient
+    is at least 1, so a smaller one is log-only without dividing.  For the
+    exact rational, see :func:`multiplicity_gibbs_corrected_exact`.
     """
     occ = _as_occupation(occ)
     degs = _as_degeneracies(degeneracies, len(occ))
     dist = multiplicity_distinguishable(occ, degs, exact_limit=exact_limit)
     log_value = dist.log_value - log_factorial_exact(occ.total)
-    if dist.value is not None:
+    # An integral quotient is >= 1, so its log is >= 0.  For a quotient
+    # below e, both logs subtracted above are at most ln N! + 1 <=
+    # ln(MAX_EXACT_LIMIT!) + 1 ~ 1.8e5, each good to a few ulps (~1e-10),
+    # so the margin of 1 cannot turn an integral quotient away.
+    if dist.value is not None and log_value >= -1.0:
         # dist / N! = prod(g_i^n_i) / prod(n_i!), without dividing by N!
         value, remainder = divmod(
             math.prod([g_i**n_i for n_i, g_i in zip(occ, degs)]),

@@ -46,7 +46,7 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class GasCompartment:
     """One compartment of ideal gas: a species label, N, V, and T."""
 
@@ -58,14 +58,13 @@ class GasCompartment:
     def __init__(self, species: str, N: int, V: float, T: float) -> None:
         if not isinstance(species, str) or not species:
             raise DomainError(f"species must be a non-empty string, got {species!r}")
-        setfield = object.__setattr__  # frozen: the one way in, once per field
-        setfield(self, "species", species)
-        setfield(self, "N", _check.count("N", N))
-        setfield(self, "V", _check.positive("V", V))
-        setfield(self, "T", _check.positive("T", T))
+        _set_species(self, species)
+        _set_N(self, _check.count("N", N))
+        _set_V(self, _check.positive("V", V))
+        _set_T(self, _check.positive("T", T))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class SpeciesOverlap:
     """Quantum overlap |<a|b>|^2 between the internal states of two species.
 
@@ -87,14 +86,23 @@ class SpeciesOverlap:
             )
         if species_b < species_a:
             species_a, species_b = species_b, species_a
-        setfield = object.__setattr__  # frozen: the one way in, once per field
-        setfield(self, "species_a", species_a)
-        setfield(self, "species_b", species_b)
-        setfield(self, "overlap", _check.overlap(overlap))
+        _set_species_a(self, species_a)
+        _set_species_b(self, species_b)
+        _set_overlap(self, _check.overlap(overlap))
 
     @property
     def pair(self) -> frozenset[str]:
         return frozenset((self.species_a, self.species_b))
+
+
+# frozen: each slot's own descriptor is the one way in, once per field
+_set_species, _set_N, _set_V, _set_T = (
+    GasCompartment.__dict__[name].__set__ for name in ("species", "N", "V", "T")
+)
+_set_species_a, _set_species_b, _set_overlap = (
+    SpeciesOverlap.__dict__[name].__set__
+    for name in ("species_a", "species_b", "overlap")
+)
 
 
 class Weighting(Enum):
@@ -139,14 +147,21 @@ class MixingScenario:
             if not isinstance(c, GasCompartment):
                 raise DomainError(f"compartments must be GasCompartment, got {c!r}")
         object.__setattr__(self, "compartments", comps)
+        # one pass: the isothermal check and the N and V sums.  V is added
+        # left to right from 0, as sum() does before Python 3.12 (which
+        # compensates), so the default final_volume is the same everywhere.
         t0 = comps[0].T
-        for c in comps[1:]:
-            if c.T != t0 and not math.isclose(c.T, t0, rel_tol=_REL_TOL):
+        n_sum = 0
+        v_sum = 0
+        for c in comps:
+            T = c.T
+            if T != t0 and not math.isclose(T, t0, rel_tol=_REL_TOL):
                 raise DomainError(
-                    f"scenario must be isothermal: temperatures {t0!r} and {c.T!r} differ"
+                    f"scenario must be isothermal: temperatures {t0!r} and {T!r} differ"
                 )
-        _check.count("total particle number", sum([c.N for c in comps]))
-        v_sum = sum([c.V for c in comps])
+            n_sum += c.N
+            v_sum += c.V
+        _check.count("total particle number", n_sum)
         v_fin = v_sum if self.final_volume is None else self.final_volume
         v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
@@ -196,9 +211,10 @@ class MixingScenario:
         """Overlap for a species pair; 1 for identical labels, 0 if unlisted."""
         if a == b:
             return 1.0
-        pair = frozenset((a, b))
+        # the unordered-pair test, without a frozenset per entry
         for o in self.overlaps:
-            if o.pair == pair:
+            x, y = o.species_a, o.species_b
+            if (x == a and y == b) or (x == b and y == a):
                 return o.overlap
         return 0.0
 
@@ -290,21 +306,22 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     T = scenario.temperature
     model = scenario.model
     form = scenario.stirling_form
-    comps = scenario.compartments
-    N_total = scenario.total_particles
-
-    S_initial = sum(  # in compartment order
-        _ideal_gas_S(
-            [float(c.N) for c in comps], [c.V for c in comps], T, model, form, 0.0
-        )
-    )
+    # one pass for the n and V columns and the per-species totals
+    ns: list[float] = []
+    Vs: list[float] = []
     per_species: dict[str, int] = {}
-    for c in comps:
-        per_species[c.species] = per_species.get(c.species, 0) + c.N
+    for c in scenario.compartments:
+        n = c.N
+        ns.append(float(n))
+        Vs.append(c.V)
+        per_species[c.species] = per_species.get(c.species, 0) + n
+    N_total = sum(per_species.values())
+
+    S_initial = sum(_ideal_gas_S(ns, Vs, T, model, form, 0.0))  # compartment order
     # each species alone in the final volume, then all N as one species
-    ns = [float(n) for n in per_species.values()] + [float(N_total)]
+    ns_final = [float(n) for n in per_species.values()] + [float(N_total)]
     *S_species, S_final_identical = _ideal_gas_S(
-        ns, [scenario.final_volume] * len(ns), T, model, form, 0.0
+        ns_final, [scenario.final_volume] * len(ns_final), T, model, form, 0.0
     )
     S_final_distinct = sum(S_species)
     initial = _entropy_result(S_initial, N_total, model, form)

@@ -90,8 +90,12 @@ def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
 
     The key of a configuration is the sum of its substates' weights.  No
     occupation exceeds N, so the base-(N+1) digits of a key are exactly
-    the occupation vector, with no carries.
+    the occupation vector, with no carries.  At N = 0 no substate is ever
+    taken, so none gets a weight: the one empty configuration, the only
+    one itertools yields over an empty pool, keys to 0.
     """
+    if N == 0:
+        return ()
     base = N + 1
     return tuple(
         base**i for i, g in enumerate(cells.degeneracies) for _ in range(g)

@@ -95,57 +95,33 @@ def parse_scenario(
     scalars: dict[str, tuple[str, int, int]] = {}  # key -> (value, line, col)
     compartments: list[GasCompartment] = []
     overlaps: list[SpeciesOverlap] = []
+    species: set[str] = set()  # tokens that matched _SPECIES_RE in this parse
 
+    # Well-formed compartment and overlap lines take the first two branches;
+    # everything else (blank lines, comments, scalars, errors) the last.
     # Columns are worked out only where they are reported: in errors and
     # for scalar values, which are converted after the loop.
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped[0] == "#":
-            continue
         key_part, eq, value_part = raw.partition("=")
-        if not eq:
-            raise fail("expected 'key = value'", lineno, 1)
         key = key_part.strip()
-        if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
-            raise fail(f"unknown key {key!r}", lineno, _key_col(key_part))
         toks = value_part.split()
-        if not toks:
-            raise fail(
-                f"empty value for key {key!r}", lineno, _value_col(key_part, value_part)
-            )
-
-        if key in _SCALAR_KEYS:
-            if key in scalars:
-                raise fail(f"duplicate key {key!r}", lineno, _key_col(key_part))
-            value_col = _value_col(key_part, value_part)
-            scalars[key] = (value_part.strip(), lineno, value_col)
-        elif key == "compartment":
-            if len(toks) != 4:
-                raise fail(
-                    f"compartment needs '<species> <N> <V> <T>', got {len(toks)} tokens",
-                    lineno,
-                    _value_col(key_part, value_part),
-                )
-            species, n, v, t = toks
+        if key == "compartment" and len(toks) == 4:
+            name, n, v, t = toks
             try:
-                if _SPECIES_RE.match(species) is None:
-                    raise ValueError(species)
+                if name not in species and not _is_species(name, species):
+                    raise ValueError(name)
                 n, v, t = int(n), float(v), float(t)
             except ValueError:
                 _raise_token_error(
                     key_part, value_part, _COMPARTMENT_FIELDS, fail, lineno
                 )
-            compartments.append(GasCompartment(species, n, v, t))
-        else:  # overlap
-            if len(toks) != 3:
-                raise fail(
-                    f"overlap needs '<species_a> <species_b> <q>', got {len(toks)} tokens",
-                    lineno,
-                    _value_col(key_part, value_part),
-                )
+            compartments.append(GasCompartment(name, n, v, t))
+        elif key == "overlap" and len(toks) == 3:
             a, b, q = toks
             try:
-                if _SPECIES_RE.match(a) is None or _SPECIES_RE.match(b) is None:
+                if (a not in species and not _is_species(a, species)) or (
+                    b not in species and not _is_species(b, species)
+                ):
                     raise ValueError(a, b)
                 q = float(q)
             except ValueError:
@@ -153,6 +129,32 @@ def parse_scenario(
                     key_part, value_part, _OVERLAP_FIELDS, fail, lineno
                 )
             overlaps.append(SpeciesOverlap(a, b, q))
+        else:
+            stripped = raw.strip()
+            if not stripped or stripped[0] == "#":
+                continue
+            if not eq:
+                raise fail("expected 'key = value'", lineno, 1)
+            if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
+                raise fail(f"unknown key {key!r}", lineno, _key_col(key_part))
+            value_col = _value_col(key_part, value_part)
+            if not toks:
+                raise fail(f"empty value for key {key!r}", lineno, value_col)
+            if key == "compartment":
+                raise fail(
+                    f"compartment needs '<species> <N> <V> <T>', got {len(toks)} tokens",
+                    lineno,
+                    value_col,
+                )
+            if key == "overlap":
+                raise fail(
+                    f"overlap needs '<species_a> <species_b> <q>', got {len(toks)} tokens",
+                    lineno,
+                    value_col,
+                )
+            if key in scalars:
+                raise fail(f"duplicate key {key!r}", lineno, _key_col(key_part))
+            scalars[key] = (value_part.strip(), lineno, value_col)
 
     if not compartments:
         raise ScenarioParseError(
@@ -174,6 +176,14 @@ def parse_scenario(
 
     scenario_id = scalars["id"][0] if "id" in scalars else default_id
     return ScenarioFile(id=scenario_id, scenario=scenario)
+
+
+def _is_species(token: str, species: set[str]) -> bool:
+    """Whether token is a valid species label; a valid one joins ``species``."""
+    if _SPECIES_RE.match(token) is None:
+        return False
+    species.add(token)
+    return True
 
 
 def _raise_token_error(key_part, value_part, fields, fail, lineno) -> NoReturn:

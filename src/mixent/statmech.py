@@ -61,7 +61,7 @@ class CountingModel(Enum):
     BOSE_APPROXIMATE = "bose-approximate"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class LevelSpec:
     """One energy level: energy in reduced units, integer degeneracy >= 1."""
 
@@ -69,9 +69,13 @@ class LevelSpec:
     degeneracy: int = 1
 
     def __init__(self, energy: float, degeneracy: int = 1) -> None:
-        setfield = object.__setattr__  # frozen: the one way in, once per field
-        setfield(self, "energy", _check.finite("level energy", energy))
-        setfield(self, "degeneracy", _check.count("degeneracy", degeneracy))
+        _set_energy(self, _check.finite("level energy", energy))
+        _set_degeneracy(self, _check.count("degeneracy", degeneracy))
+
+
+# frozen: each slot's own descriptor is the one way in, once per field
+_set_energy = LevelSpec.__dict__["energy"].__set__
+_set_degeneracy = LevelSpec.__dict__["degeneracy"].__set__
 
 
 @dataclass(frozen=True)

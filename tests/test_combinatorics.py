@@ -280,6 +280,77 @@ class TestExactCountKernels:
         assert gibbs.log_value == dist.log_value - log_factorial_exact(7)
 
 
+class TestGibbsIntegralityBoundary:
+    """The corrected count skips the exact division when log_value < -1,
+    since an integral quotient is at least 1; every count still equals the
+    one formed by always dividing, value and log, bit for bit."""
+
+    @staticmethod
+    def divmod_reference(occ, degs, exact_limit):
+        """The count formed with prod(g^n) divmod prod(n!) whenever N fits."""
+        dist = multiplicity_distinguishable(occ, degs, exact_limit=exact_limit)
+        log_value = dist.log_value - log_factorial_exact(sum(occ))
+        if dist.value is not None:
+            value, remainder = divmod(
+                math.prod(g**n for n, g in zip(occ, degs)),
+                math.prod(math.factorial(n) for n in occ),
+            )
+            if remainder == 0:
+                return Count(log_value=log_value, value=value)
+        return Count.log_only(log_value)
+
+    @staticmethod
+    def small_cases():
+        """Every occupation of 1-3 cells with n_i <= 5 over g_i in 1..3."""
+        for m in (1, 2, 3):
+            for occ in itertools.product(range(6), repeat=m):
+                for degs in itertools.product((1, 2, 3), repeat=m):
+                    yield occ, degs
+
+    @pytest.mark.parametrize("exact_limit", [0, 100, DEFAULT_EXACT_LIMIT])
+    @pytest.mark.parametrize(
+        "occ, degs, value",
+        [
+            ((1, 1, 1), (1, 1, 1), 1),
+            ((0,), (1,), 1),
+            ((0, 0, 0), (2, 3, 1), 1),
+            ((2,), (2,), 2),
+            ((3,), (6,), 36),
+            ((2,), (1,), None),  # 1/2, ln = -0.69
+            ((3,), (1,), None),  # 1/6, ln = -1.79
+            ((5,), (2,), None),  # 32/120, ln = -1.32
+        ],
+    )
+    def test_quotients_near_one(self, occ, degs, value, exact_limit):
+        got = multiplicity_gibbs_corrected(occ, degs, exact_limit=exact_limit)
+        assert got == self.divmod_reference(occ, degs, exact_limit)
+        assert got.value == (value if sum(occ) <= exact_limit else None)
+
+    @pytest.mark.parametrize("exact_limit", [0, 100, DEFAULT_EXACT_LIMIT])
+    def test_small_occupations_match_divmod(self, exact_limit):
+        near_zero = integral = 0
+        for occ, degs in self.small_cases():
+            got = multiplicity_gibbs_corrected(occ, degs, exact_limit=exact_limit)
+            assert got == self.divmod_reference(occ, degs, exact_limit), (occ, degs)
+            near_zero += -2.0 <= got.log_value <= 0.0
+            integral += got.value is not None
+        assert near_zero >= 100
+        assert integral >= (500 if exact_limit else 0)
+
+    @pytest.mark.parametrize("exact_limit", [0, 100, DEFAULT_EXACT_LIMIT])
+    def test_wide_quotients_below_one(self, exact_limit):
+        # N at the default limit over few small cells: the quotient is far
+        # below 1, its log far below -1
+        for occ, degs in [
+            ((2500, 2500), (2, 3)),
+            ((1000, 1000, 1000, 1000, 1000), (1, 2, 3, 5, 7)),
+            ((60, 40), (3, 1)),
+        ]:
+            got = multiplicity_gibbs_corrected(occ, degs, exact_limit=exact_limit)
+            assert got == self.divmod_reference(occ, degs, exact_limit)
+            assert got.is_log_only and got.log_value < -1.0
+
+
 class TestMultiplicityBose:
     def test_small_values(self):
         assert multiplicity_bose_exact(3, 2).value == 4

@@ -1,9 +1,10 @@
 """Contract of the validated value types GasCompartment, SpeciesOverlap, LevelSpec.
 
-Each is a frozen dataclass with a hand-written ``__init__`` that validates
-and stores every field once.  These tests pin what callers may rely on:
-pickling and copying, ``dataclasses.replace``/``fields``, equality, hashing
-and repr, and the exact message of every rejection.
+Each is a slotted frozen dataclass with a hand-written ``__init__`` that
+validates and stores every field once.  These tests pin what callers may
+rely on: pickling and copying, ``dataclasses.replace``/``fields``,
+equality, hashing and repr, no instance ``__dict__``, and the exact
+message of every rejection.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+import tracemalloc
+import weakref
 
 import pytest
 
 from mixent.errors import DomainError
-from mixent.mixing import GasCompartment, SpeciesOverlap
-from mixent.statmech import LevelSpec
+from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap
+from mixent.statmech import EnsembleSpec, LevelSpec
 
 NAN = float("nan")
 INF = float("inf")
@@ -78,6 +81,37 @@ class TestValueSemantics:
         bad = {"T": -1.0, "overlap": 2.0, "degeneracy": 0}[name]
         with pytest.raises(DomainError):
             dataclasses.replace(obj, **{name: bad})
+
+    def test_slotted(self, obj, text, values):
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(obj)
+
+
+def test_ten_thousand_levels_fit_in_under_0_7_MB():
+    energies = [i * 1e-3 for i in range(10_000)]
+    LevelSpec(0.5)  # anything built on a first call is not counted
+    tracemalloc.start()
+    try:
+        levels = [LevelSpec(e) for e in energies]
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(levels) == 10_000
+    assert size < 700_000
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_containers_of_slotted_members_pickle(protocol):
+    ensemble = EnsembleSpec(levels=(LevelSpec(0.0), LevelSpec(1.5, 3)), N=10, T=2.0)
+    scenario = MixingScenario.from_compartments(
+        (GasCompartment("argon", 10, 0.5, 1.0), GasCompartment("xenon", 20, 1.0, 1.0)),
+        overlaps=(SpeciesOverlap("xenon", "argon", 0.25),),
+    )
+    for obj in (ensemble, scenario):
+        back = pickle.loads(pickle.dumps(obj, protocol=protocol))
+        assert back == obj
+        assert repr(back) == repr(obj)
 
 
 class TestFieldsAndReplace:

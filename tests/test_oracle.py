@@ -90,6 +90,20 @@ class TestEnumerateAssignments:
         assert result.total == 1
         assert result.by_occupation == {occ(0, 0): 1}
 
+    @pytest.mark.parametrize("enumerate_", [enumerate_assignments, enumerate_indistinct])
+    def test_zero_particles_build_nothing_per_substate(self, enumerate_):
+        # one empty configuration, whatever the degeneracy: no weight per
+        # substate is needed to enumerate it
+        tracemalloc.start()
+        try:
+            result = enumerate_(0, (10**6,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total == 1
+        assert result.by_occupation == {occ(0): 1}
+        assert peak < 1_000_000
+
     def test_cell_doubling_adds_log_two_per_particle(self):
         for N in (1, 3, 5):
             single = enumerate_assignments(N, (1, 1)).total
