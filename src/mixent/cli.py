@@ -18,11 +18,9 @@ becomes J.  MIXENT_KB=reduced (or unset) keeps reduced units.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import itertools
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .combinatorics import (
     Count,
@@ -34,9 +32,6 @@ from .combinatorics import (
     multiplicity_distinguishable,
 )
 from .errors import DomainError, ScenarioParseError
-from .mixing import MixingScenario, SpeciesOverlap, mixing_entropy
-from .oracle import FIXED_CELL_SUITE, verify_counting
-from .scenario_io import load_scenario
 from .statmech import (
     CountingModel,
     EnsembleSpec,
@@ -44,6 +39,11 @@ from .statmech import (
     entropy_from_levels,
     ideal_gas_entropy,
 )
+
+# mixing, scenario_io, oracle, json, dataclasses and itertools are imported
+# by the handlers that use them, so count and entropy calls never load them
+if TYPE_CHECKING:
+    from .mixing import MixingScenario
 
 KB_SI = 1.380649e-23  # J/K
 
@@ -104,7 +104,12 @@ def _emit(rows: list[dict[str, object]], fmt: str) -> None:
     JSON numbers are emitted as such literals too, so the JSON text
     itself is deterministic, not just the parsed values.
     """
-    quote = str if fmt == "csv" else json.dumps
+    if fmt == "csv":
+        quote = str
+    else:
+        import json
+
+        quote = json.dumps
     cells = [
         [_fmt(v) if isinstance(v, float) else quote(v) for v in row.values()]
         for row in rows
@@ -217,6 +222,9 @@ def _cmd_entropy(args: argparse.Namespace, scale: float, units: str) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace, scale: float, units: str) -> int:
+    from .mixing import mixing_entropy
+    from .scenario_io import load_scenario
+
     scenario_file = load_scenario(args.scenario)
     report = mixing_entropy(scenario_file.scenario)
     row = _report_row(scenario_file.id, scenario_file.scenario, report, scale, units)
@@ -227,6 +235,12 @@ def _cmd_mix(args: argparse.Namespace, scale: float, units: str) -> int:
 def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> int:
     if args.points < 2:
         raise _UsageError(f"--points must be >= 2, got {args.points}")
+    import dataclasses
+    import itertools
+
+    from .mixing import SpeciesOverlap, mixing_entropy
+    from .scenario_io import load_scenario
+
     scenario_file = load_scenario(args.scenario)
     base = scenario_file.scenario
     species = base.species()
@@ -247,6 +261,8 @@ def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> in
 def _cmd_oracle_check(args: argparse.Namespace, scale: float, units: str) -> int:
     if args.max_n < 0:
         raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
+    from .oracle import FIXED_CELL_SUITE, verify_counting
+
     cases = 0
     failures = 0
     for cells in FIXED_CELL_SUITE:

@@ -285,6 +285,15 @@ def _effective_overlap(scenario: MixingScenario) -> float:
     return values.pop()
 
 
+def _sum_left(xs: list[float]) -> float:
+    """x_1 + x_2 + ... added left to right from 0, as sum() does before
+    Python 3.12 (which compensates), so results are the same everywhere."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     """Entropy change when a scenario's compartments merge into one volume.
 
@@ -317,13 +326,13 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         per_species[c.species] = per_species.get(c.species, 0) + n
     N_total = sum(per_species.values())
 
-    S_initial = sum(_ideal_gas_S(ns, Vs, T, model, form, 0.0))  # compartment order
+    S_initial = _sum_left(_ideal_gas_S(ns, Vs, T, model, form, 0.0))
     # each species alone in the final volume, then all N as one species
     ns_final = [float(n) for n in per_species.values()] + [float(N_total)]
     *S_species, S_final_identical = _ideal_gas_S(
         ns_final, [scenario.final_volume] * len(ns_final), T, model, form, 0.0
     )
-    S_final_distinct = sum(S_species)
+    S_final_distinct = _sum_left(S_species)
     initial = _entropy_result(S_initial, N_total, model, form)
 
     q = _effective_overlap(scenario)

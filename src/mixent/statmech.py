@@ -19,8 +19,8 @@ entropy exactly extensive.
 
 The level arithmetic is plain ``math`` over Python lists: ensembles are a
 handful to ten thousand levels, where numpy's import costs more than it
-saves.  numpy is imported only inside :func:`occupations` (which returns
-an ndarray) and :func:`gibbs_shannon_entropy`.
+saves.  numpy is an optional extra, imported only inside
+:func:`occupations`, which returns an ndarray.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from . import _check
 from .combinatorics import StirlingForm
@@ -163,9 +163,16 @@ def occupations(ensemble: EnsembleSpec) -> np.ndarray:
     """Most-probable (Boltzmann) occupations n_i = N g_i e^{-e_i/T} / Z.
 
     Real-valued ndarray, one entry per level, summing to N.  Computed from
-    max-shifted ratios so extreme e/T stay finite.
+    max-shifted ratios so extreme e/T stay finite.  Needs numpy (the
+    ``numpy`` extra); without it this raises ImportError.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError(
+            "occupations() returns a numpy array and numpy is not installed; "
+            "install the extra: pip install 'mixent[numpy]'"
+        ) from None
 
     return np.array(_occupations(ensemble)[0], dtype=float)
 
@@ -283,25 +290,30 @@ def ideal_gas_entropy(
     return _entropy_result(S, N, model, stirling_form)
 
 
-def gibbs_shannon_entropy(probabilities: Sequence[float]) -> float:
+def gibbs_shannon_entropy(probabilities: Iterable[float]) -> float:
     """-sum p ln p over a probability vector.
 
-    Zero entries contribute nothing (p ln p -> 0).  The vector must be
-    nonnegative and sum to 1 within 1e-9; anything else is a DomainError,
-    not a silent renormalization.
+    Any iterable of reals, a 1-d ndarray included.  Zero entries
+    contribute nothing (p ln p -> 0).  The vector must be non-empty,
+    finite, nonnegative and sum to 1 within 1e-9; anything else is a
+    DomainError, not a silent renormalization.  Both sums are
+    ``math.fsum``, so the entries' order does not change the result.
     """
-    import numpy as np
-
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size == 0:
+    try:
+        items = list(probabilities)
+    except TypeError:  # a scalar or a 0-d ndarray
+        items = []
+    # an ndarray of two or more dimensions iterates over its rows
+    if not items or any(getattr(x, "ndim", 0) for x in items):
         raise DomainError("probability vector must be 1-d and non-empty")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
+    p = [_check.finite("probabilities", x) for x in items]
+    if any(x < 0.0 for x in p):
         raise DomainError("probabilities must be finite and nonnegative")
-    total = float(p.sum())
+    total = math.fsum(p)
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"probabilities sum to {total!r}, not 1")
-    positive = p[p > 0]
-    return float(-(positive * np.log(positive)).sum())
+    log = math.log
+    return math.fsum([-x * log(x) for x in p if x > 0.0])
 
 
 def helmholtz_free_energy(

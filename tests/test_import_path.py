@@ -1,12 +1,16 @@
-"""numpy, fractions and decimal stay off the import path: `import mixent`
-and every CLI subcommand.
+"""What `import mixent` and each CLI subcommand load, and the public surface.
 
-Each check runs in a fresh interpreter, because this test process has
-already imported numpy.
+numpy, fractions and decimal stay off the import path.  `import mixent`
+loads no submodule, and each subcommand loads only the modules it runs.
+The package's names resolve lazily to the same objects as before.
+
+Each import check runs in a fresh interpreter, because this test process
+has already imported numpy and every mixent module.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -112,3 +116,153 @@ def test_modules_probe_sees_fractions_once_used():
         "import mixent\nmixent.multiplicity_gibbs_corrected_exact((2,), (1,))\n",
     )
     assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
+
+
+# mixent's submodules beyond what count and entropy need, and json
+FOOTPRINT = "mixent.mixing,mixent.scenario_io,mixent.oracle,mixent.statmech,json"
+# subcommand -> the watched modules it loads, in FOOTPRINT order
+LOADED_BY = {
+    "count-binomial": "mixent.statmech",
+    "count-multiplicity": "mixent.statmech",
+    "entropy-V": "mixent.statmech",
+    "entropy-levels": "mixent.statmech",
+    "mix-csv": "mixent.mixing,mixent.scenario_io,mixent.statmech",
+    "mix-json": "mixent.mixing,mixent.scenario_io,mixent.statmech,json",
+    "sweep-overlap": "mixent.mixing,mixent.scenario_io,mixent.statmech",
+    "oracle-check": "mixent.oracle,mixent.statmech",
+}
+
+
+def test_import_mixent_loads_no_submodule_or_json():
+    assert _run_probe(MODULES_PROBE, FOOTPRINT) == ["import -"]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_loads_only_what_it_runs(name):
+    assert _run_probe(MODULES_PROBE, FOOTPRINT, *SUBCOMMANDS[name]) == [
+        "import -",
+        f"main 0 {LOADED_BY[name]}",
+    ]
+
+
+# every public name but __version__ -> the submodule that defines it
+HOME = {
+    "DomainError": "errors",
+    "OracleSizeError": "errors",
+    "ScenarioParseError": "errors",
+    "Count": "combinatorics",
+    "OccupationVector": "combinatorics",
+    "StirlingForm": "combinatorics",
+    "binomial": "combinatorics",
+    "classical_symbol_states": "combinatorics",
+    "log_factorial_exact": "combinatorics",
+    "log_factorial_stirling": "combinatorics",
+    "multiplicity_bose_approx": "combinatorics",
+    "multiplicity_bose_exact": "combinatorics",
+    "multiplicity_distinguishable": "combinatorics",
+    "multiplicity_gibbs_corrected": "combinatorics",
+    "multiplicity_gibbs_corrected_exact": "combinatorics",
+    "CountingModel": "statmech",
+    "EnsembleSpec": "statmech",
+    "EntropyResult": "statmech",
+    "LevelSpec": "statmech",
+    "entropy_from_levels": "statmech",
+    "gibbs_shannon_entropy": "statmech",
+    "helmholtz_free_energy": "statmech",
+    "ideal_gas_entropy": "statmech",
+    "internal_energy": "statmech",
+    "log_partition_function": "statmech",
+    "occupations": "statmech",
+    "partition_function": "statmech",
+    "GasCompartment": "mixing",
+    "MixingReport": "mixing",
+    "MixingScenario": "mixing",
+    "SpeciesOverlap": "mixing",
+    "Weighting": "mixing",
+    "mixing_entropy": "mixing",
+    "overlap_weighted_mixing_entropy": "mixing",
+    "partition_change_entropy": "mixing",
+    "separation_work": "mixing",
+    "spin_field_scenario": "mixing",
+    "CellSpec": "oracle",
+    "EnumerationResult": "oracle",
+    "VerificationReport": "oracle",
+    "enumerate_assignments": "oracle",
+    "enumerate_indistinct": "oracle",
+    "verify_counting": "oracle",
+    "ScenarioFile": "scenario_io",
+    "load_scenario": "scenario_io",
+    "parse_scenario": "scenario_io",
+    "serialize_scenario": "scenario_io",
+}
+
+
+def test_all_is_the_48_public_names():
+    assert len(HOME) == 47
+    assert sorted(mixent.__all__) == sorted(["__version__", *HOME])
+
+
+@pytest.mark.parametrize("name", list(HOME))
+def test_public_name_is_the_submodule_object(name):
+    module = importlib.import_module(f"mixent.{HOME[name]}")
+    assert getattr(mixent, name) is getattr(module, name)
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from mixent import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(mixent.__all__)
+    assert set(mixent.__all__) <= set(dir(mixent))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        mixent.nope
+    with pytest.raises(ImportError, match="'nope'"):
+        exec("from mixent import nope", {})
+
+
+LAZY_PROBE = """
+import pickle
+import mixent
+print(mixent.oracle.FIXED_CELL_SUITE[0], mixent.mixing.Weighting.COMPLEMENT.value)
+level = mixent.LevelSpec(1.5, 3)
+scenario = mixent.MixingScenario(
+    compartments=(
+        mixent.GasCompartment("a", 10, 1.0, 2.0),
+        mixent.GasCompartment("b", 20, 3.0, 2.0),
+    ),
+    overlaps=(mixent.SpeciesOverlap("a", "b", 0.25),),
+)
+for value in (level, scenario):
+    print(type(value).__name__, pickle.loads(pickle.dumps(value)) == value)
+"""
+
+
+def test_fresh_import_resolves_submodules_and_pickles():
+    assert _run_probe(LAZY_PROBE) == [
+        "(1, 1) complement",
+        "LevelSpec True",
+        "MixingScenario True",
+    ]
+
+
+NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None  # import numpy now fails as if not installed
+import mixent
+print(mixent.gibbs_shannon_entropy([0.25, 0.75]) > 0)
+ensemble = mixent.EnsembleSpec(levels=(mixent.LevelSpec(0.0, 1),), N=10, T=1.0)
+try:
+    mixent.occupations(ensemble)
+except ImportError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_occupations_without_numpy_is_one_clear_import_error():
+    out = _run_probe(NO_NUMPY_PROBE)
+    assert out[0] == "True"
+    assert out[1].startswith("ImportError occupations() returns a numpy array")
+    assert "mixent[numpy]" in out[1]
+    assert len(out) == 2

@@ -404,6 +404,27 @@ class TestGibbsShannonEntropy:
             gibbs_shannon_entropy([1.5, -0.5])
         with pytest.raises(DomainError):
             gibbs_shannon_entropy([])
+        for bad in (
+            0.5,
+            np.array(1.0),
+            np.array([[0.5, 0.5]]),
+            np.array([[1.0]]),
+            [np.array([1.0])],
+            [[0.5], [0.5]],
+            [0.5, math.nan],
+            [math.inf, 0.0],
+            np.array([0.5, 0.5, -0.0, math.nan]),
+        ):
+            with pytest.raises(DomainError):
+                gibbs_shannon_entropy(bad)
+
+    def test_any_iterable_of_reals(self):
+        p = [0.125, 0.375, 0.5]
+        expected = gibbs_shannon_entropy(p)
+        assert gibbs_shannon_entropy(np.array(p)) == expected
+        assert gibbs_shannon_entropy(np.array(p, dtype=np.float32)) == expected
+        assert gibbs_shannon_entropy(x for x in p) == expected
+        assert gibbs_shannon_entropy((1, 0)) == 0.0
 
 
 class TestHelmholtzFreeEnergy:

@@ -1,4 +1,5 @@
-"""Level arithmetic against a 50-digit mpmath evaluation of the same formulas.
+"""Level arithmetic and the Gibbs-Shannon entropy against a 50-digit mpmath
+evaluation of the same formulas.
 
 The reference takes the double-precision energies, degeneracies, N and T
 as exact inputs and evaluates ln Z, U and the counting-model entropies in
@@ -16,6 +17,7 @@ alone is worth ~370 nats.)
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import pytest
@@ -26,6 +28,7 @@ from mixent.statmech import (
     EnsembleSpec,
     LevelSpec,
     entropy_from_levels,
+    gibbs_shannon_entropy,
     internal_energy,
     log_partition_function,
 )
@@ -153,3 +156,29 @@ def test_entropy_from_levels(name, model, form):
     result = entropy_from_levels(ens, model, form)
     assert _rel_err(result.S, S[model, form]) <= REL_TOL
     assert _rel_err(result.per_particle, S[model, form] / ens.N) <= REL_TOL
+
+
+def _probability_vectors():
+    rng = random.Random(1948)
+    vectors = {
+        "fair-coin": [0.5, 0.5],
+        "with-zeros": [0.0, 0.25, 0.0, 0.75],
+        "tiny-entries": [1.0, 1e-300, 2e-300],  # sums to 1 in double precision
+    }
+    for size in (3, 50, 10_000):
+        raw = [rng.random() ** 8 for _ in range(size)]
+        total = math.fsum(raw)
+        vectors[f"random-{size}"] = [x / total for x in raw]
+    return vectors
+
+
+PROBABILITIES = _probability_vectors()
+
+
+@pytest.mark.parametrize("name", sorted(PROBABILITIES))
+def test_gibbs_shannon_entropy(name):
+    p = PROBABILITIES[name]
+    with mpmath.workdps(DIGITS):
+        ref = -mpmath.fsum(mpmath.mpf(x) * mpmath.log(x) for x in p if x > 0)
+    assert _rel_err(gibbs_shannon_entropy(p), ref) <= REL_TOL
+    assert gibbs_shannon_entropy(reversed(p)) == gibbs_shannon_entropy(p)
