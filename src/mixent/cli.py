@@ -12,7 +12,8 @@ files that cannot be read or parsed.  Each error is one line on stderr.
 Entropy and work outputs are in units of k_B (nats) by default.  Set the
 environment variable MIXENT_KB=si to multiply by the SI Boltzmann
 constant, reading temperatures as kelvin: entropies become J/K, work
-becomes J.  MIXENT_KB=reduced (or unset) keeps reduced units.
+becomes J.  MIXENT_KB=reduced (or unset) keeps reduced units.  Only
+entropy, mix and sweep-overlap print units, so only they read it.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
     return tuple(levels)
 
 
-def _cmd_count(args: argparse.Namespace, scale: float, units: str) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "multiplicity":
         if args.operands:
@@ -201,7 +202,8 @@ def _cmd_count(args: argparse.Namespace, scale: float, units: str) -> int:
     return 0
 
 
-def _cmd_entropy(args: argparse.Namespace, scale: float, units: str) -> int:
+def _cmd_entropy(args: argparse.Namespace) -> int:
+    scale, units = _resolve_units()
     model = CountingModel(args.model)
     form = StirlingForm(args.stirling_form)
     if args.levels is not None:
@@ -221,7 +223,8 @@ def _cmd_entropy(args: argparse.Namespace, scale: float, units: str) -> int:
     return 0
 
 
-def _cmd_mix(args: argparse.Namespace, scale: float, units: str) -> int:
+def _cmd_mix(args: argparse.Namespace) -> int:
+    scale, units = _resolve_units()
     from .mixing import mixing_entropy
     from .scenario_io import load_scenario
 
@@ -232,7 +235,8 @@ def _cmd_mix(args: argparse.Namespace, scale: float, units: str) -> int:
     return 0
 
 
-def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> int:
+def _cmd_sweep_overlap(args: argparse.Namespace) -> int:
+    scale, units = _resolve_units()
     if args.points < 2:
         raise _UsageError(f"--points must be >= 2, got {args.points}")
     import dataclasses
@@ -258,7 +262,7 @@ def _cmd_sweep_overlap(args: argparse.Namespace, scale: float, units: str) -> in
     return 0
 
 
-def _cmd_oracle_check(args: argparse.Namespace, scale: float, units: str) -> int:
+def _cmd_oracle_check(args: argparse.Namespace) -> int:
     if args.max_n < 0:
         raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
     from .oracle import FIXED_CELL_SUITE, verify_counting
@@ -350,8 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        scale, units = _resolve_units()
-        return args.handler(args, scale, units)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

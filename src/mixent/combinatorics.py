@@ -122,22 +122,19 @@ class OccupationVector:
         return iter(self.counts)
 
 
-def _as_occupation(occ: OccupationVector | Iterable[int]) -> OccupationVector:
-    if isinstance(occ, OccupationVector):
-        return occ
-    return OccupationVector(tuple(occ))
-
-
-def _as_degeneracies(
-    degeneracies: Sequence[int], n_cells: int
-) -> tuple[int, ...]:
+def _as_cells(
+    occ: OccupationVector | Iterable[int], degeneracies: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Checked occupation numbers and cell degeneracies, one per cell."""
+    if not isinstance(occ, OccupationVector):
+        occ = OccupationVector(tuple(occ))
     degs = tuple(_check.integer("degeneracy", g, 1) for g in degeneracies)
-    if len(degs) != n_cells:
+    if len(degs) != len(occ):
         raise DomainError(
-            f"occupation/degeneracy length mismatch: {n_cells} cells "
+            f"occupation/degeneracy length mismatch: {len(occ)} cells "
             f"vs {len(degs)} degeneracies"
         )
-    return degs
+    return occ.counts, degs
 
 
 class StirlingForm(Enum):
@@ -217,6 +214,45 @@ def log_factorial_stirling(n: int | float, *, three_term: bool = False) -> float
     return form.log_factorial(n)
 
 
+def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
+    """N! * prod(g_i^n_i) / prod(n_i!) for checked cells, N = sum(ns).
+
+    The one multinomial of the module: binomial and multiset counts are
+    it over two cells of one substate each.  Exact for N <= limit, as a
+    chain of binomials comb(n_1 + ... + n_i, n_i) * g_i^n_i that never
+    divides.  Beyond it log-only: the fsum of ln N! and the per-cell
+    terms n_i ln g_i - ln n_i!, rounded once and so the same bits on every
+    interpreter (``sum`` compensates from Python 3.12 on).
+    """
+    N = sum(ns)
+    if N <= limit:
+        value = 1
+        prefix = 0
+        for n_i, g_i in zip(ns, degs):
+            prefix += n_i
+            value *= math.comb(prefix, n_i) * g_i**n_i
+        return Count.from_int(value)
+    # checked first: N may leave the float range although every n_i fits,
+    # and no n_i! overflows once N! does not
+    terms = [log_factorial_exact(N)]
+    terms += [
+        n_i * math.log(g_i) - lf
+        for n_i, g_i, lf in zip(ns, degs, StirlingForm.EXACT._log_factorials(ns))
+    ]
+    try:
+        return Count.log_only(math.fsum(terms))
+    except OverflowError:  # fsum raises where a sum of finite terms overflows
+        return Count.log_only(_INF)
+
+
+def _corrected_pair(ns: Sequence[int], degs: Sequence[int]) -> tuple[int, int]:
+    """(prod g_i^n_i, prod n_i!): the corrected count as an unreduced fraction."""
+    return (
+        math.prod([g_i**n_i for n_i, g_i in zip(ns, degs)]),
+        math.prod([math.factorial(n_i) for n_i in ns]),
+    )
+
+
 def binomial(N: int, n: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Count:
     """Ways to choose n labeled particles out of N: N! / (n! (N-n)!).
 
@@ -229,12 +265,7 @@ def binomial(N: int, n: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Count
     limit = _check_exact_limit(exact_limit)
     if n > N:
         raise DomainError(f"cannot choose n={n} from N={N}")
-    if N <= limit:
-        return Count.from_int(math.comb(N, n))
-    log_value = (
-        log_factorial_exact(N) - log_factorial_exact(n) - log_factorial_exact(N - n)
-    )
-    return Count.log_only(log_value)
+    return _multinomial((n, N - n), (1, 1), limit)
 
 
 def multiplicity_distinguishable(
@@ -249,23 +280,8 @@ def multiplicity_distinguishable(
     This is the count that makes entropy non-extensive and produces the
     classic paradoxes; the corrected variant below divides out N!.
     """
-    occ = _as_occupation(occ)
-    degs = _as_degeneracies(degeneracies, len(occ))
-    N = occ.total
-    limit = _check_exact_limit(exact_limit)
-    if N <= limit:
-        # the multinomial N! / prod(n_i!) as a chain of binomials
-        value = 1
-        prefix = 0
-        for n_i, g_i in zip(occ, degs):
-            prefix += n_i
-            value *= math.comb(prefix, n_i) * g_i**n_i
-        return Count.from_int(value)
-    log_value = log_factorial_exact(N) + sum(
-        n_i * math.log(g_i) - log_factorial_exact(n_i)
-        for n_i, g_i in zip(occ, degs)
-    )
-    return Count.log_only(log_value)
+    ns, degs = _as_cells(occ, degeneracies)
+    return _multinomial(ns, degs, _check_exact_limit(exact_limit))
 
 
 def multiplicity_gibbs_corrected(
@@ -286,20 +302,16 @@ def multiplicity_gibbs_corrected(
     is at least 1, so a smaller one is log-only without dividing.  For the
     exact rational, see :func:`multiplicity_gibbs_corrected_exact`.
     """
-    occ = _as_occupation(occ)
-    degs = _as_degeneracies(degeneracies, len(occ))
-    dist = multiplicity_distinguishable(occ, degs, exact_limit=exact_limit)
-    log_value = dist.log_value - log_factorial_exact(occ.total)
+    ns, degs = _as_cells(occ, degeneracies)
+    dist = _multinomial(ns, degs, _check_exact_limit(exact_limit))
+    log_value = dist.log_value - log_factorial_exact(sum(ns))
     # An integral quotient is >= 1, so its log is >= 0.  For a quotient
     # below e, both logs subtracted above are at most ln N! + 1 <=
     # ln(MAX_EXACT_LIMIT!) + 1 ~ 1.8e5, each good to a few ulps (~1e-10),
     # so the margin of 1 cannot turn an integral quotient away.
     if dist.value is not None and log_value >= -1.0:
         # dist / N! = prod(g_i^n_i) / prod(n_i!), without dividing by N!
-        value, remainder = divmod(
-            math.prod([g_i**n_i for n_i, g_i in zip(occ, degs)]),
-            math.prod([math.factorial(n_i) for n_i in occ]),
-        )
+        value, remainder = divmod(*_corrected_pair(ns, degs))
         if remainder == 0:
             return Count(log_value=log_value, value=value)
     return Count.log_only(log_value)
@@ -312,18 +324,11 @@ def multiplicity_gibbs_corrected_exact(
     """Exact rational value of the permutation-corrected multiplicity."""
     from fractions import Fraction  # here only: it loads decimal too
 
-    occ = _as_occupation(occ)
-    degs = _as_degeneracies(degeneracies, len(occ))
-    if occ.total > MAX_EXACT_LIMIT:
-        raise DomainError(
-            f"N={occ.total} exceeds the exact-arithmetic cap {MAX_EXACT_LIMIT}"
-        )
-    numerator = 1
-    denominator = 1
-    for n_i, g_i in zip(occ, degs):
-        numerator *= g_i**n_i
-        denominator *= math.factorial(n_i)
-    return Fraction(numerator, denominator)
+    ns, degs = _as_cells(occ, degeneracies)
+    N = sum(ns)
+    if N > MAX_EXACT_LIMIT:
+        raise DomainError(f"N={N} exceeds the exact-arithmetic cap {MAX_EXACT_LIMIT}")
+    return Fraction(*_corrected_pair(ns, degs))
 
 
 def multiplicity_bose_exact(
@@ -334,15 +339,7 @@ def multiplicity_bose_exact(
     """
     n = _check.count("n", n, 0)
     g = _check.count("g", g)
-    limit = _check_exact_limit(exact_limit)
-    if n + g - 1 <= limit:
-        return Count.from_int(math.comb(n + g - 1, n))
-    log_value = (
-        log_factorial_exact(n + g - 1)
-        - log_factorial_exact(n)
-        - log_factorial_exact(g - 1)
-    )
-    return Count.log_only(log_value)
+    return _multinomial((n, g - 1), (1, 1), _check_exact_limit(exact_limit))
 
 
 def multiplicity_bose_approx(n: int, g: int) -> float:

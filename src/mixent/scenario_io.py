@@ -1,7 +1,7 @@
 """Line-based scenario files: parsing and canonical serialization.
 
 A scenario file is UTF-8 text, one ``key = value`` pair per line.  Blank
-lines and ``#`` comments are ignored.  Keys:
+lines and lines starting with ``#`` are ignored.  Keys:
 
     id            optional label for reports (default: file stem)
     model         distinguishable | gibbs-corrected | bose-approximate
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .combinatorics import StirlingForm
-from .errors import ScenarioParseError
+from .errors import DomainError, ScenarioParseError
 from .mixing import GasCompartment, MixingScenario, SpeciesOverlap, Weighting
 from .statmech import CountingModel
 
@@ -248,11 +248,32 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 def serialize_scenario(scenario_file: ScenarioFile) -> str:
     """Canonical text for a scenario; parse(serialize(x)) == x.
 
-    Floats are written with repr, which round-trips exactly.
+    Floats are written with repr, which round-trips exactly, and overlaps
+    in their stored order.  A scenario the text cannot carry is a
+    DomainError: an id that is not one non-empty line without leading or
+    trailing whitespace, or a species label the parser would reject.
     """
+    scenario_id = scenario_file.id
+    if (
+        not isinstance(scenario_id, str)
+        or scenario_id.splitlines() != [scenario_id]  # empty, or a line break
+        or scenario_id != scenario_id.strip()
+    ):
+        raise DomainError(
+            f"id {scenario_id!r} cannot be serialized: it must be one non-empty "
+            "line without leading or trailing whitespace"
+        )
     s = scenario_file.scenario
+    labels = {c.species for c in s.compartments}
+    labels.update([name for o in s.overlaps for name in (o.species_a, o.species_b)])
+    for label in sorted(labels):  # each label once, in a fixed order
+        if _SPECIES_RE.match(label) is None:
+            raise DomainError(
+                f"species {label!r} cannot be serialized: a label is letters, "
+                "digits and _ . + - only"
+            )
     lines = [
-        f"id = {scenario_file.id}",
+        f"id = {scenario_id}",
         f"model = {s.model.value}",
         f"stirling_form = {s.stirling_form.value}",
         f"weighting = {s.weighting.value}",
@@ -260,6 +281,6 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     ]
     for c in s.compartments:
         lines.append(f"compartment = {c.species} {c.N} {c.V!r} {c.T!r}")
-    for o in sorted(s.overlaps, key=lambda o: (o.species_a, o.species_b)):
+    for o in s.overlaps:
         lines.append(f"overlap = {o.species_a} {o.species_b} {o.overlap!r}")
     return "\n".join(lines) + "\n"

@@ -180,6 +180,43 @@ class TestEntropy:
         assert code == 1
 
 
+class TestUnitsEnvironment:
+    """Only the subcommands that print units read MIXENT_KB."""
+
+    BAD = "error: MIXENT_KB must be 'reduced' or 'si', got 'bogus'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "binomial", "5", "2"),
+            ("count", "multiplicity", "--occ", "2,1", "--deg", "2,1"),
+            ("oracle-check", "--max-n", "2"),
+        ],
+    )
+    def test_unitless_subcommands_ignore_it(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MIXENT_KB", raising=False)
+        unset = run(capsys, *argv)
+        monkeypatch.setenv("MIXENT_KB", "bogus")
+        assert run(capsys, *argv) == unset
+        assert unset[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", "--N", "10", "--V", "1.0", "--T", "1.0"),
+            ("mix", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
+            ("sweep-overlap", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
+            # units are resolved before any other argument is judged
+            ("entropy", "--N", "10", "--T", "1.0"),
+            ("mix", "--scenario", str(SCENARIO_DIR / "no_such.scenario")),
+            ("sweep-overlap", "--scenario", "x", "--points", "1"),
+        ],
+    )
+    def test_subcommands_with_units_reject_it(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MIXENT_KB", "bogus")
+        assert run(capsys, *argv) == (1, "", self.BAD)
+
+
 class TestMix:
     def test_csv_output(self, capsys):
         code, out, _ = run(

@@ -351,6 +351,43 @@ class TestGibbsIntegralityBoundary:
             assert got.is_log_only and got.log_value < -1.0
 
 
+class TestLogOnlyCounts:
+    """Above the exact limit every count is ln N! plus per-cell terms
+    n ln g - ln n!, added by one fsum."""
+
+    def test_terms_are_added_by_fsum(self):
+        occ, degs = (1, 1, 2), (2, 3, 1)  # 4! * 2 * 3 / 2! = 72
+        terms = [log_factorial_exact(4)]
+        terms += [n * math.log(g) - log_factorial_exact(n) for n, g in zip(occ, degs)]
+        left_to_right = 0.0
+        for term in terms:
+            left_to_right += term
+        fsum = math.fsum(terms)
+        assert left_to_right != fsum  # the case tells the two sums apart
+        count = multiplicity_distinguishable(occ, degs, exact_limit=0)
+        assert count.log_value == fsum
+        assert multiplicity_distinguishable(occ, degs).value == 72
+
+    @pytest.mark.parametrize("exact_limit", [0, DEFAULT_EXACT_LIMIT])
+    def test_binomial_and_bose_are_unit_cell_multinomials(self, exact_limit):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            N = rng.choice((rng.randint(0, 60), rng.randint(0, 10**12)))
+            n = rng.randint(0, N)
+            g = N - n + 1
+            cells = multiplicity_distinguishable(
+                (n, N - n), (1, 1), exact_limit=exact_limit
+            )
+            assert binomial(N, n, exact_limit=exact_limit) == cells
+            assert multiplicity_bose_exact(n, g, exact_limit=exact_limit) == cells
+
+    def test_overflowing_terms_are_a_domain_error(self):
+        # each cell term is about 1e308; their sum leaves the float range
+        g = 2**144_270
+        with pytest.raises(DomainError, match="ln of the count overflows a float"):
+            multiplicity_distinguishable((10**303, 10**303), (g, g))
+
+
 class TestMultiplicityBose:
     def test_small_values(self):
         assert multiplicity_bose_exact(3, 2).value == 4

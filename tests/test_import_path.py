@@ -5,11 +5,14 @@ loads no submodule, and each subcommand loads only the modules it runs.
 The package's names resolve lazily to the same objects as before.
 
 Each import check runs in a fresh interpreter, because this test process
-has already imported numpy and every mixent module.
+has already imported numpy and every mixent module.  One interpreter per
+subcommand watches every module the checks ask about, and each check
+reads its own modules from that run.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import os
 import subprocess
@@ -23,17 +26,21 @@ import mixent
 SRC = Path(mixent.__file__).resolve().parents[1]
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "partial_overlap.scenario"
 
-# prints one line per checkpoint: the checkpoint, then whether numpy is loaded
-PROBE = """
+# prints one line per checkpoint: the checkpoint, then which of the modules
+# named in argv[1] are loaded ("-" for none)
+MODULES_PROBE = """
 import contextlib, io, sys
+watched = sys.argv[1].split(",")
+def loaded():
+    return ",".join(m for m in watched if m in sys.modules) or "-"
 import mixent
-print("import", "numpy" in sys.modules)
+print("import", loaded())
 from mixent.cli import main
-argv = sys.argv[1:]
+argv = sys.argv[2:]
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print("main", code, "numpy" in sys.modules)
+    print("main", code, loaded())
 """
 
 
@@ -51,14 +58,6 @@ def _run_probe(script: str, *args: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-def _probe(*argv: str) -> list[str]:
-    return _run_probe(PROBE, *argv)
-
-
-def test_import_mixent_loads_no_numpy():
-    assert _probe() == ["import False"]
-
-
 SUBCOMMANDS = {
     "count-binomial": ("count", "binomial", "12", "5"),
     "count-multiplicity": ("count", "multiplicity", "--occ", "2,1", "--deg", "2,1"),
@@ -70,54 +69,9 @@ SUBCOMMANDS = {
     "oracle-check": ("oracle-check", "--max-n", "2"),
 }
 
-
-@pytest.mark.parametrize("name", list(SUBCOMMANDS))
-def test_cli_subcommand_loads_no_numpy(name):
-    assert _probe(*SUBCOMMANDS[name]) == ["import False", "main 0 False"]
-
-
-# the same checkpoints, printing which of the modules named in argv[1] are loaded
-MODULES_PROBE = """
-import contextlib, io, sys
-watched = sys.argv[1].split(",")
-def loaded():
-    return ",".join(m for m in watched if m in sys.modules) or "-"
-import mixent
-print("import", loaded())
-from mixent.cli import main
-argv = sys.argv[2:]
-if argv:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    print("main", code, loaded())
-"""
-
 # Fraction is imported only inside multiplicity_gibbs_corrected_exact;
 # fractions itself imports decimal
 EXACT_ARITHMETIC = "fractions,decimal"
-
-
-def test_import_mixent_loads_no_fractions_or_decimal():
-    assert _run_probe(MODULES_PROBE, EXACT_ARITHMETIC) == ["import -"]
-
-
-@pytest.mark.parametrize("name", list(SUBCOMMANDS))
-def test_cli_subcommand_loads_no_fractions_or_decimal(name):
-    assert _run_probe(MODULES_PROBE, EXACT_ARITHMETIC, *SUBCOMMANDS[name]) == [
-        "import -",
-        "main 0 -",
-    ]
-
-
-def test_modules_probe_sees_fractions_once_used():
-    # the probe can fail: the exact rational loads both modules
-    probe = MODULES_PROBE.replace(
-        "import mixent\n",
-        "import mixent\nmixent.multiplicity_gibbs_corrected_exact((2,), (1,))\n",
-    )
-    assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
-
-
 # mixent's submodules beyond what count and entropy need, and json
 FOOTPRINT = "mixent.mixing,mixent.scenario_io,mixent.oracle,mixent.statmech,json"
 # subcommand -> the watched modules it loads, in FOOTPRINT order
@@ -133,16 +87,68 @@ LOADED_BY = {
 }
 
 
+@functools.cache
+def _probe(name: str | None) -> tuple[str, ...]:
+    """The probe's lines for one subcommand (None: bare import), watching
+    every module the tests below ask about: one interpreter per subcommand."""
+    argv = SUBCOMMANDS[name] if name else ()
+    return tuple(_run_probe(MODULES_PROBE, f"numpy,{EXACT_ARITHMETIC},{FOOTPRINT}", *argv))
+
+
+def _seen(name: str | None, modules: str) -> list[str]:
+    """The probe's lines for ``name``, each listing only the loaded ``modules``."""
+    keep = modules.split(",")
+    lines = []
+    for line in _probe(name):
+        *checkpoint, loaded = line.split(" ")
+        kept = ",".join(m for m in loaded.split(",") if m in keep) or "-"
+        lines.append(" ".join([*checkpoint, kept]))
+    return lines
+
+
+def test_import_mixent_loads_no_numpy():
+    assert _seen(None, "numpy") == ["import -"]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_loads_no_numpy(name):
+    assert _seen(name, "numpy") == ["import -", "main 0 -"]
+
+
+def test_import_mixent_loads_no_fractions_or_decimal():
+    assert _seen(None, EXACT_ARITHMETIC) == ["import -"]
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_cli_subcommand_loads_no_fractions_or_decimal(name):
+    assert _seen(name, EXACT_ARITHMETIC) == ["import -", "main 0 -"]
+
+
 def test_import_mixent_loads_no_submodule_or_json():
-    assert _run_probe(MODULES_PROBE, FOOTPRINT) == ["import -"]
+    assert _seen(None, FOOTPRINT) == ["import -"]
 
 
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_cli_subcommand_loads_only_what_it_runs(name):
-    assert _run_probe(MODULES_PROBE, FOOTPRINT, *SUBCOMMANDS[name]) == [
-        "import -",
-        f"main 0 {LOADED_BY[name]}",
-    ]
+    assert _seen(name, FOOTPRINT) == ["import -", f"main 0 {LOADED_BY[name]}"]
+
+
+# the probe can fail: a call that loads a watched module shows it
+def test_modules_probe_sees_fractions_once_used():
+    probe = MODULES_PROBE.replace(
+        "import mixent\n",
+        "import mixent\nmixent.multiplicity_gibbs_corrected_exact((2,), (1,))\n",
+    )
+    assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
+
+
+def test_modules_probe_sees_numpy_once_used():
+    probe = MODULES_PROBE.replace(
+        "import mixent\n",
+        "import mixent\n"
+        "mixent.occupations(mixent.EnsembleSpec(levels=((0.0, 1),), N=1, T=1.0))\n",
+    )
+    assert _run_probe(probe, "numpy") == ["import numpy"]
 
 
 # every public name but __version__ -> the submodule that defines it

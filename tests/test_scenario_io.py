@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+import re
 from pathlib import Path
 
 import pytest
 
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError, ScenarioParseError
-from mixent.mixing import Weighting
+from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap, Weighting
 from mixent.scenario_io import (
     ScenarioFile,
     load_scenario,
@@ -18,6 +20,7 @@ from mixent.scenario_io import (
 from mixent.statmech import CountingModel
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+README = SCENARIO_DIR.parent / "README.md"
 
 FULL_TEXT = """\
 # two gases at matched density
@@ -232,6 +235,76 @@ class TestRoundTrip:
                 serialize_scenario(sf), default_id=path.stem
             )
             assert again == sf, path.name
+
+    @pytest.mark.parametrize("species", ["argon gas", "ar#1", "\u00e9"])
+    def test_unreadable_species_is_refused(self, species):
+        scenario = MixingScenario(compartments=(GasCompartment(species, 10, 1.0, 1.0),))
+        with pytest.raises(DomainError, match=f"^species {re.escape(repr(species))} "):
+            serialize_scenario(ScenarioFile("demo", scenario))
+
+    def test_unreadable_overlap_species_is_refused(self):
+        scenario = MixingScenario(
+            compartments=(GasCompartment("a", 10, 1.0, 1.0),),
+            overlaps=(SpeciesOverlap("a", "b c", 0.5),),
+        )
+        with pytest.raises(DomainError, match="^species 'b c' "):
+            serialize_scenario(ScenarioFile("demo", scenario))
+
+    @pytest.mark.parametrize("scenario_id", ["", "a\nb", " padded ", "a\u2028"])
+    def test_unreadable_id_is_refused(self, scenario_id):
+        sf = parse_scenario("compartment = a 10 1.0 1.0\n")
+        with pytest.raises(DomainError, match=f"^id {re.escape(repr(scenario_id))} "):
+            serialize_scenario(ScenarioFile(scenario_id, sf.scenario))
+
+    def test_every_serializable_scenario_round_trips(self):
+        # labels and ids now and then hold spaces, comment marks, line
+        # breaks or non-ASCII letters; overlaps come in any order
+        rng = random.Random(20261018)
+
+        def draw(k: int) -> str:
+            # one draw in ten is a character a label or an id may not hold
+            return "".join(
+                rng.choice(" #=\t\n\u00e9\u2028")
+                if rng.random() < 0.1
+                else rng.choice("ab_.+-9")
+                for _ in range(k)
+            )
+
+        written = refused = 0
+        for _ in range(400):
+            labels = sorted(
+                {draw(rng.randint(1, 4)) for _ in range(3)}
+            )
+            T = rng.choice((0.5, 1.0, 300.0))
+            compartments = tuple(
+                GasCompartment(label, rng.randint(1, 10**6), rng.uniform(0.1, 2.0), T)
+                for label in labels
+            )
+            pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
+            rng.shuffle(pairs)
+            overlaps = tuple(SpeciesOverlap(a, b, rng.random()) for a, b in pairs)
+            scenario = MixingScenario(
+                compartments=compartments,
+                overlaps=overlaps,
+                model=rng.choice(list(CountingModel)),
+                stirling_form=rng.choice(list(StirlingForm)),
+                weighting=rng.choice(list(Weighting)),
+            )
+            sf = ScenarioFile(draw(rng.randint(0, 6)), scenario)
+            try:
+                text = serialize_scenario(sf)
+            except DomainError:
+                refused += 1
+                continue
+            written += 1
+            assert parse_scenario(text) == sf, text
+        assert written >= 100 and refused >= 100
+
+    def test_readme_example_is_the_shipped_scenario(self):
+        section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
+        example = section.split("```\n", 2)[1]
+        shipped = load_scenario(SCENARIO_DIR / "distinct_half.scenario")
+        assert parse_scenario(example) == shipped
 
     def test_load_uses_stem_as_default_id(self, tmp_path):
         p = tmp_path / "my_case.scenario"
