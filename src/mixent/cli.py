@@ -8,6 +8,9 @@ Exit codes: 0 on success, 1 when a domain guard rejects the inputs
 (negative counts, non-isothermal scenarios, enumeration size caps,
 numbers beyond floating-point range), 2 for usage errors and scenario
 files that cannot be read or parsed.  Each error is one line on stderr.
+main() returns the code for every command line; only --help exits.  argparse
+declares every argument rule, so a usage error is decided before
+MIXENT_KB or a scenario file is read.
 
 Entropy and work outputs are in units of k_B (nats) by default.  Set the
 environment variable MIXENT_KB=si to multiply by the SI Boltzmann
@@ -36,7 +39,6 @@ from .errors import DomainError, ScenarioParseError
 from .statmech import (
     CountingModel,
     EnsembleSpec,
-    LevelSpec,
     entropy_from_levels,
     ideal_gas_entropy,
 )
@@ -44,20 +46,22 @@ from .statmech import (
 # mixing, scenario_io, oracle, json, dataclasses and itertools are imported
 # by the handlers that use them, so count and entropy calls never load them
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .mixing import MixingScenario
 
 KB_SI = 1.380649e-23  # J/K
 
 
 class _UsageError(Exception):
-    """Bad arguments detected after argparse; maps to exit code 2."""
+    """An argument argparse rejected; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with its errors on one stderr line, like every other error."""
+    """argparse whose errors reach main(), to print as one stderr line."""
 
     def error(self, message: str):
-        self.exit(2, f"usage error: {self.prog}: {message}\n")
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _fmt(x: float) -> str:
@@ -127,76 +131,55 @@ def _emit(rows: list[dict[str, object]], fmt: str) -> None:
     sys.stdout.write(text)
 
 
-def _report_row(
-    scenario_id: str,
-    scenario: MixingScenario,
-    report,
-    scale: float,
-    units: str,
-) -> dict[str, object]:
-    """One output row: the CSV/JSON columns, in order."""
-    return {
-        "scenario": scenario_id,
-        "model": scenario.model.value,
-        "stirling_form": scenario.stirling_form.value,
-        "weighting": scenario.weighting.value,
-        "overlap": report.overlap_applied,
-        "S_initial": report.S_initial.S * scale,
-        "S_final": report.S_final.S * scale,
-        "delta_S": report.delta_S * scale,
-        "separation_work": report.separation_work * scale,
-        "units": units,
-    }
+# argparse types.  argparse reports any ValueError from them as a usage
+# error, so they judge shape only: a DomainError (a ValueError) raised
+# here would turn an exit 1 into an exit 2.
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _int_at_least(low: int):
+    """An integer >= low; a non-integer reads as it does for type=int."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
+
+
+def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise _UsageError(
-            f"{what} must be comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
         ) from None
 
 
-def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
+def _levels(text: str) -> tuple[tuple[float, int], ...]:
+    """(energy, degeneracy) pairs; LevelSpec judges their values."""
     levels = []
     for item in text.split(","):
-        energy_part, sep, deg_part = item.partition(":")
+        energy, sep, degeneracy = item.partition(":")
         try:
-            energy = float(energy_part)
-            degeneracy = int(deg_part) if sep else 1
+            levels.append((float(energy), int(degeneracy) if sep else 1))
         except ValueError:
-            raise _UsageError(
-                f"--levels items must look like '<energy>:<degeneracy>', got {item!r}"
+            raise argparse.ArgumentTypeError(
+                f"items must look like '<energy>:<degeneracy>', got {item!r}"
             ) from None
-        levels.append(LevelSpec(energy, degeneracy))
     return tuple(levels)
 
 
+def _bose_approx(n: int, g: int) -> Count:
+    return Count.log_only(multiplicity_bose_approx(n, g))
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "multiplicity":
-        if args.operands:
-            raise _UsageError("multiplicity takes --occ and --deg, not positionals")
-        if args.occ is None or args.deg is None:
-            raise _UsageError("multiplicity needs both --occ and --deg")
-        occ = _parse_int_list(args.occ, "--occ")
-        deg = _parse_int_list(args.deg, "--deg")
-        count = multiplicity_distinguishable(occ, deg)
-    else:
-        if args.occ is not None or args.deg is not None:
-            raise _UsageError(f"--occ/--deg only apply to 'multiplicity', not {kind!r}")
-        if len(args.operands) != 2:
-            raise _UsageError(f"{kind} takes exactly two integer operands")
-        a, b = args.operands
-        if kind == "binomial":
-            count = binomial(a, b)
-        elif kind == "bose":
-            count = multiplicity_bose_exact(a, b)
-        elif kind == "bose-approx":
-            count = Count.log_only(multiplicity_bose_approx(a, b))
-        else:  # symbols
-            count = classical_symbol_states(a, b)
+    count = args.formula(args.a, args.b)
     print(f"value = {'(log-only)' if count.is_log_only else _digits(count.value)}")
     print(f"log_value = {_fmt(count.log_value)}")
     return 0
@@ -206,14 +189,10 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     scale, units = _resolve_units()
     model = CountingModel(args.model)
     form = StirlingForm(args.stirling_form)
-    if args.levels is not None:
-        if args.V is not None:
-            raise _UsageError("--levels and --V are mutually exclusive")
-        ensemble = EnsembleSpec(levels=_parse_levels(args.levels), N=args.N, T=args.T)
+    if args.V is None:
+        ensemble = EnsembleSpec(levels=args.levels, N=args.N, T=args.T)
         result = entropy_from_levels(ensemble, model, form)
     else:
-        if args.V is None:
-            raise _UsageError("either --V (ideal gas) or --levels is required")
         result = ideal_gas_entropy(args.N, args.V, args.T, model, form, args.constant)
     print(f"S = {_fmt(result.S * scale)}")
     print(f"per_particle = {_fmt(result.per_particle * scale)}")
@@ -223,48 +202,50 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
+def _overlap_grid(base: MixingScenario, points: int) -> Iterator[MixingScenario]:
+    """``base`` with every species pair at q = 0, 1/(points-1), ..., 1."""
+    import dataclasses
+    import itertools
+
+    from .mixing import SpeciesOverlap
+
+    pairs = list(itertools.combinations(base.species(), 2))
+    for i in range(points):
+        q = i / (points - 1)
+        overlaps = tuple(SpeciesOverlap(a, b, q) for a, b in pairs)
+        yield dataclasses.replace(base, overlaps=overlaps)
+
+
 def _cmd_mix(args: argparse.Namespace) -> int:
+    """mix (no --points): one row for the file's own scenario;
+    sweep-overlap: one row per point of the overlap grid."""
     scale, units = _resolve_units()
     from .mixing import mixing_entropy
     from .scenario_io import load_scenario
 
     scenario_file = load_scenario(args.scenario)
-    report = mixing_entropy(scenario_file.scenario)
-    row = _report_row(scenario_file.id, scenario_file.scenario, report, scale, units)
-    _emit([row], args.format)
-    return 0
-
-
-def _cmd_sweep_overlap(args: argparse.Namespace) -> int:
-    scale, units = _resolve_units()
-    if args.points < 2:
-        raise _UsageError(f"--points must be >= 2, got {args.points}")
-    import dataclasses
-    import itertools
-
-    from .mixing import SpeciesOverlap, mixing_entropy
-    from .scenario_io import load_scenario
-
-    scenario_file = load_scenario(args.scenario)
     base = scenario_file.scenario
-    species = base.species()
+    scenarios = (base,) if args.points is None else _overlap_grid(base, args.points)
     rows = []
-    for i in range(args.points):
-        q = i / (args.points - 1)
-        overlaps = tuple(
-            SpeciesOverlap(a, b, q)
-            for a, b in itertools.combinations(species, 2)
-        )
-        scenario = dataclasses.replace(base, overlaps=overlaps)
+    for scenario in scenarios:
         report = mixing_entropy(scenario)
-        rows.append(_report_row(scenario_file.id, scenario, report, scale, units))
+        rows.append({
+            "scenario": scenario_file.id,
+            "model": scenario.model.value,
+            "stirling_form": scenario.stirling_form.value,
+            "weighting": scenario.weighting.value,
+            "overlap": report.overlap_applied,
+            "S_initial": report.S_initial.S * scale,
+            "S_final": report.S_final.S * scale,
+            "delta_S": report.delta_S * scale,
+            "separation_work": report.separation_work * scale,
+            "units": units,
+        })
     _emit(rows, args.format)
     return 0
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise _UsageError(f"--max-n must be >= 0, got {args.max_n}")
     from .oracle import FIXED_CELL_SUITE, verify_counting
 
     cases = 0
@@ -291,25 +272,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mixent",
         description="Microstate counting and mixing entropy for ideal-gas scenarios.",
     )
-    parser.set_defaults(handler=None)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="evaluate a counting formula")
-    count.add_argument(
-        "kind",
-        choices=["binomial", "multiplicity", "bose", "bose-approx", "symbols"],
-    )
-    count.add_argument("operands", nargs="*", type=int)
-    count.add_argument("--occ", help="comma-separated occupation numbers")
-    count.add_argument("--deg", help="comma-separated cell degeneracies")
     count.set_defaults(handler=_cmd_count)
+    kinds = count.add_subparsers(dest="kind", required=True)
+    # every kind is a formula of two operands, a and b
+    for kind, formula, a, b in (
+        ("binomial", binomial, "N", "n"),
+        ("bose", multiplicity_bose_exact, "n", "g"),
+        ("bose-approx", _bose_approx, "n", "g"),
+        ("symbols", classical_symbol_states, "n", "g"),
+    ):
+        pair = kinds.add_parser(kind)
+        pair.add_argument("a", metavar=a, type=int)
+        pair.add_argument("b", metavar=b, type=int)
+        pair.set_defaults(formula=formula)
+    multiplicity = kinds.add_parser("multiplicity")
+    multiplicity.add_argument(
+        "--occ", dest="a", type=_int_list, required=True,
+        help="comma-separated occupation numbers",
+    )
+    multiplicity.add_argument(
+        "--deg", dest="b", type=_int_list, required=True,
+        help="comma-separated cell degeneracies",
+    )
+    multiplicity.set_defaults(formula=multiplicity_distinguishable)
 
     entropy = sub.add_parser("entropy", help="entropy of a gas or level ensemble")
     entropy.add_argument("--N", type=int, required=True)
     entropy.add_argument("--T", type=float, required=True)
-    entropy.add_argument("--V", type=float, default=None)
-    entropy.add_argument(
-        "--levels", default=None, help="comma-separated '<energy>:<degeneracy>' items"
+    gas = entropy.add_mutually_exclusive_group(required=True)
+    gas.add_argument("--V", type=float, help="volume of an ideal gas")
+    gas.add_argument(
+        "--levels", type=_levels, help="comma-separated '<energy>:<degeneracy>' items"
     )
     entropy.add_argument(
         "--model",
@@ -326,39 +322,33 @@ def _build_parser() -> argparse.ArgumentParser:
     entropy.set_defaults(handler=_cmd_entropy)
 
     mix = sub.add_parser("mix", help="entropy change of a scenario file")
-    mix.add_argument("--scenario", required=True)
-    mix.add_argument("--format", choices=["csv", "json"], default="csv")
-    mix.set_defaults(handler=_cmd_mix)
-
     sweep = sub.add_parser(
         "sweep-overlap", help="scenario entropy across an overlap grid"
     )
-    sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--points", type=int, default=101)
-    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    sweep.set_defaults(handler=_cmd_sweep_overlap)
+    for scenario_cmd in (mix, sweep):
+        scenario_cmd.add_argument("--scenario", required=True)
+        scenario_cmd.add_argument("--format", choices=["csv", "json"], default="csv")
+        scenario_cmd.set_defaults(handler=_cmd_mix)
+    mix.set_defaults(points=None)
+    sweep.add_argument("--points", type=_int_at_least(2), default=101)
 
     oracle = sub.add_parser(
         "oracle-check", help="verify counting formulas by exhaustive enumeration"
     )
-    oracle.add_argument("--max-n", dest="max_n", type=int, default=8)
+    oracle.add_argument("--max-n", dest="max_n", type=_int_at_least(0), default=8)
     oracle.set_defaults(handler=_cmd_oracle_check)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.handler is None:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ScenarioParseError, OSError) as exc:  # OSError: an unreadable scenario
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

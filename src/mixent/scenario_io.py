@@ -1,7 +1,8 @@
 """Line-based scenario files: parsing and canonical serialization.
 
-A scenario file is UTF-8 text, one ``key = value`` pair per line.  Blank
-lines and lines starting with ``#`` are ignored.  Keys:
+A scenario file is UTF-8 text (a leading byte-order mark is dropped), one
+``key = value`` pair per line.  Blank lines and lines starting with ``#``
+are ignored.  Keys:
 
     id            optional label for reports (default: file stem)
     model         distinguishable | gibbs-corrected | bose-approximate
@@ -234,7 +235,11 @@ def _parse_choice(scalars, key, enum_cls, source):
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
-    """Read and parse a scenario file; the default id is the file stem."""
+    """Read and parse a scenario file; the default id is the file stem.
+
+    One leading byte-order mark is dropped after decoding, so that byte
+    offsets in a decode error still count from the start of the file.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -242,6 +247,7 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         raise ScenarioParseError(
             f"not valid UTF-8: {exc.reason} at byte {exc.start}", source=str(path)
         ) from None
+    text = text.removeprefix("\ufeff")
     return parse_scenario(text, source=str(path), default_id=path.stem)
 
 

@@ -94,9 +94,9 @@ class TestCount:
         assert "usage" in err.lower()
 
     def test_unknown_kind_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "frobnicate", "1", "2"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "count", "frobnicate", "1", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: mixent count: ") and err.count("\n") == 1
 
     def test_occ_on_wrong_kind_exit_2(self, capsys):
         code, _, err = run(capsys, "count", "binomial", "3", "2", "--occ", "1")
@@ -139,10 +139,12 @@ class TestEntropy:
         assert code == 2
 
     def test_bad_model_choice(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["entropy", "--N", "10", "--V", "1.0", "--T", "1.0",
-                  "--model", "anyons"])
-        assert exc.value.code == 2
+        code, out, err = run(
+            capsys,
+            "entropy", "--N", "10", "--V", "1.0", "--T", "1.0", "--model", "anyons",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: mixent entropy: ") and err.count("\n") == 1
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(
@@ -206,15 +208,29 @@ class TestUnitsEnvironment:
             ("entropy", "--N", "10", "--V", "1.0", "--T", "1.0"),
             ("mix", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
             ("sweep-overlap", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
-            # units are resolved before any other argument is judged
-            ("entropy", "--N", "10", "--T", "1.0"),
+            # units are resolved before the scenario file is read
             ("mix", "--scenario", str(SCENARIO_DIR / "no_such.scenario")),
-            ("sweep-overlap", "--scenario", "x", "--points", "1"),
         ],
     )
     def test_subcommands_with_units_reject_it(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("MIXENT_KB", "bogus")
         assert run(capsys, *argv) == (1, "", self.BAD)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("entropy", "--N", "x", "--V", "1.0", "--T", "1.0"),
+            ("entropy", "--N", "10", "--T", "1.0"),
+            ("sweep-overlap", "--scenario", "x", "--points", "y"),
+            ("sweep-overlap", "--scenario", "x", "--points", "1"),
+        ],
+    )
+    def test_usage_errors_come_before_it(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MIXENT_KB", "bogus")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: mixent {argv[0]}: ")
+        assert err.count("\n") == 1
 
 
 class TestMix:
@@ -287,6 +303,32 @@ class TestMix:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["mix", "sweep-overlap"])
+    @pytest.mark.parametrize(
+        "unreadable", ["name-too-long", "file-as-directory", "symlink-loop"]
+    )
+    def test_unreadable_path_exit_2(self, capsys, tmp_path, unreadable, command):
+        if unreadable == "name-too-long":
+            path = tmp_path / ("x" * 5000)
+        elif unreadable == "file-as-directory":
+            (tmp_path / "afile").write_text("", encoding="utf-8")
+            path = tmp_path / "afile" / "x"
+        else:
+            (tmp_path / "a").symlink_to(tmp_path / "b")
+            (tmp_path / "b").symlink_to(tmp_path / "a")
+            path = tmp_path / "a"
+        code, out, err = run(capsys, command, "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
+        text = (SCENARIO_DIR / "distinct_half.scenario").read_bytes()
+        bom = tmp_path / "distinct_half.scenario"
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        expected = run(capsys, "mix", "--scenario", str(SCENARIO_DIR / bom.name))
+        assert run(capsys, "mix", "--scenario", str(bom)) == expected
+        assert expected[0] == 0
 
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "latin1.scenario"
@@ -446,3 +488,44 @@ class TestTopLevel:
         captured = capsys.readouterr()
         assert code == 2
         assert "usage" in captured.err.lower()
+
+    @pytest.mark.parametrize("kb", [None, "bogus"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            # argument rules once checked by hand after parsing
+            "count multiplicity --occ 2,x --deg 1,1",
+            "entropy --N 10 --T 1 --levels 0:x",
+            "count multiplicity 2 1",
+            "count multiplicity --occ 2,1",
+            "count binomial 3 2 --occ 1",
+            "count binomial 3",
+            "entropy --N 10 --T 1 --V 1 --levels 0:1",
+            "entropy --N 10 --T 1",
+            "sweep-overlap --scenario x --points 1",
+            "oracle-check --max-n -1",
+            # argparse's own
+            "",
+            "frobnicate",
+            "count frobnicate 1 2",
+            "entropy --N 10 --T 1 --V 1 --model anyons",
+            "mix --scenario x --format xml",
+            "count binomial x 2",
+            "oracle-check --max-n y",
+            "oracle-check --verbose",
+        ],
+    )
+    def test_usage_errors_return_2(self, capsys, monkeypatch, kb, line):
+        if kb is None:
+            monkeypatch.delenv("MIXENT_KB", raising=False)
+        else:
+            monkeypatch.setenv("MIXENT_KB", kb)
+        code, out, err = run(capsys, *line.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: mixent") and err.count("\n") == 1
+
+    def test_help_still_exits(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mixent count")

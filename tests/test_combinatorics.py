@@ -57,6 +57,15 @@ class TestCount:
         with pytest.raises(DomainError):
             Count.from_int(-1)
 
+    def test_nan_log_rejected(self):
+        with pytest.raises(DomainError, match="NaN"):
+            Count.log_only(math.nan)
+
+    def test_occupation_vector(self):
+        assert OccupationVector((2, 3)).total == 5
+        with pytest.raises(DomainError, match="at least one cell"):
+            OccupationVector(())
+
 
 class TestBinomial:
     def test_small_values(self):

@@ -454,6 +454,17 @@ class TestScenarioValidation:
             MixingScenario(compartments=(a, b), final_volume=2.0, overlaps=overlaps)
         assert str(exc.value) == "duplicate overlap entry for pair ['a', 'b']"
 
+    def test_overlap_entries_must_be_species_overlaps(self):
+        c = GasCompartment("a", 10, 1.0, 1.0)
+        with pytest.raises(DomainError, match="SpeciesOverlap"):
+            MixingScenario(compartments=(c,), overlaps=("x",))
+
+    def test_pair_overlap_of_identical_and_unlisted_pairs(self):
+        s = two_gas_scenario(overlap=0.25, species=("a", "b"))
+        assert s.pair_overlap("a", "a") == 1.0
+        assert s.pair_overlap("b", "a") == 0.25
+        assert s.pair_overlap("a", "c") == 0.0
+
     def test_self_overlap_rejected(self):
         with pytest.raises(DomainError):
             SpeciesOverlap("a", "a", 0.5)

@@ -311,6 +311,26 @@ class TestRoundTrip:
         p.write_text("compartment = a 10 1.0 1.0\n", encoding="utf-8")
         assert load_scenario(p).id == "my_case"
 
+    def test_load_drops_one_byte_order_mark(self, tmp_path):
+        (tmp_path / "bom").mkdir()
+        plain = tmp_path / "demo.scenario"
+        plain.write_text(FULL_TEXT, encoding="utf-8")
+        bom = tmp_path / "bom" / "demo.scenario"
+        bom.write_bytes(b"\xef\xbb\xbf" + FULL_TEXT.encode())
+        assert load_scenario(bom) == load_scenario(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" * 2 + FULL_TEXT.encode())
+        with pytest.raises(ScenarioParseError, match=r"demo.scenario:1:1: expected"):
+            load_scenario(bom)
+
+    def test_decode_error_counts_bytes_from_the_file_start(self, tmp_path):
+        p = tmp_path / "bom.scenario"
+        p.write_bytes(b"\xef\xbb\xbfid\xff = x\n")
+        with pytest.raises(ScenarioParseError, match="at byte 5$"):
+            load_scenario(p)
+
+    def test_parse_error_location_text(self):
+        assert str(ScenarioParseError("m", source="f", line=3)) == "f:3: m"
+
     def test_load_reports_path_in_errors(self, tmp_path):
         p = tmp_path / "broken.scenario"
         p.write_text("nope\n", encoding="utf-8")

@@ -502,6 +502,12 @@ class TestEntropyBeyondFloatRange:
         r = ideal_gas_entropy(10**308, 2.0, 1.0, CountingModel.DISTINGUISHABLE)
         assert r.S == 10**308 * math.log(2.0)
 
+    def test_entropy_from_levels_sum_overflow(self):
+        # n ln n of the one level is finite, ln N! + the level sum is not
+        ens = EnsembleSpec(levels=((0.0, 1),), N=10**306, T=1.0)
+        with pytest.raises(DomainError, match="entropy overflows a float"):
+            entropy_from_levels(ens, CountingModel.DISTINGUISHABLE, StirlingForm.EXACT)
+
     @pytest.mark.parametrize("form", list(StirlingForm))
     def test_entropy_from_levels_occupation_overflow(self, form):
         # N * g overflows to an infinite occupation of the ground level
