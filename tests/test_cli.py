@@ -209,6 +209,7 @@ class TestUnitsEnvironment:
             ("mix", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
             ("sweep-overlap", "--scenario", str(SCENARIO_DIR / "distinct_half.scenario")),
             # units are resolved before the scenario file is read
+            ("sweep-overlap", "--scenario", str(SCENARIO_DIR / "no_such.scenario")),
             ("mix", "--scenario", str(SCENARIO_DIR / "no_such.scenario")),
         ],
     )
