@@ -147,12 +147,8 @@ class MixingScenario:
             if not isinstance(c, GasCompartment):
                 raise DomainError(f"compartments must be GasCompartment, got {c!r}")
         object.__setattr__(self, "compartments", comps)
-        # one pass: the isothermal check and the N and V sums.  V is added
-        # left to right from 0, as sum() does before Python 3.12 (which
-        # compensates), so the default final_volume is the same everywhere.
         t0 = comps[0].T
         n_sum = 0
-        v_sum = 0
         for c in comps:
             T = c.T
             if T != t0 and not math.isclose(T, t0, rel_tol=_REL_TOL):
@@ -160,8 +156,8 @@ class MixingScenario:
                     f"scenario must be isothermal: temperatures {t0!r} and {T!r} differ"
                 )
             n_sum += c.N
-            v_sum += c.V
         _check.count("total particle number", n_sum)
+        v_sum = _fsum([c.V for c in comps], math.inf)
         v_fin = v_sum if self.final_volume is None else self.final_volume
         v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
@@ -285,13 +281,12 @@ def _effective_overlap(scenario: MixingScenario) -> float:
     return values.pop()
 
 
-def _sum_left(xs: list[float]) -> float:
-    """x_1 + x_2 + ... added left to right from 0, as sum() does before
-    Python 3.12 (which compensates), so results are the same everywhere."""
-    total = 0.0
-    for x in xs:
-        total += x
-    return total
+def _fsum(xs: list[float], beyond: float) -> float:
+    """math.fsum (the same bits in any order), or ``beyond`` where it raises."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return beyond
 
 
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
@@ -326,13 +321,13 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         per_species[c.species] = per_species.get(c.species, 0) + n
     N_total = sum(per_species.values())
 
-    S_initial = _sum_left(_ideal_gas_S(ns, Vs, T, model, form, 0.0))
+    S_initial = _fsum(_ideal_gas_S(ns, Vs, T, model, form, 0.0), math.nan)
     # each species alone in the final volume, then all N as one species
     ns_final = [float(n) for n in per_species.values()] + [float(N_total)]
     *S_species, S_final_identical = _ideal_gas_S(
         ns_final, [scenario.final_volume] * len(ns_final), T, model, form, 0.0
     )
-    S_final_distinct = _sum_left(S_species)
+    S_final_distinct = _fsum(S_species, math.nan)
     initial = _entropy_result(S_initial, N_total, model, form)
 
     q = _effective_overlap(scenario)

@@ -2,7 +2,7 @@
 
 A scenario file is UTF-8 text (a leading byte-order mark is dropped), one
 ``key = value`` pair per line.  Blank lines and lines starting with ``#``
-are ignored.  Keys:
+are ignored.  Keys, each one row of the parser's key tables:
 
     id            optional label for reports (default: file stem)
     model         distinguishable | gibbs-corrected | bose-approximate
@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
 
 from .combinatorics import StirlingForm
 from .errors import DomainError, ScenarioParseError
@@ -41,17 +40,55 @@ from .statmech import CountingModel
 
 __all__ = ["ScenarioFile", "parse_scenario", "load_scenario", "serialize_scenario"]
 
-_SCALAR_KEYS = ("id", "model", "stirling_form", "weighting", "final_volume")
-_LIST_KEYS = ("compartment", "overlap")
-_CHOICE_KEYS = (
-    ("model", CountingModel),
-    ("stirling_form", StirlingForm),
-    ("weighting", Weighting),
-)
 _SPECIES_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
-# what each token of a list value is, for error messages
-_COMPARTMENT_FIELDS = ("species", "N", "V", "T")
-_OVERLAP_FIELDS = ("species", "species", "overlap")
+
+
+def _species(token: str) -> str:
+    """A valid species label, or ValueError, as int() and float() convert."""
+    if _SPECIES_RE.match(token) is None:
+        raise ValueError(token)
+    return token
+
+
+def _compartment_args(toks: list[str], seen: set[str]) -> tuple:
+    name, n, v, t = toks
+    if name not in seen:
+        seen.add(_species(name))
+    return name, int(n), float(v), float(t)
+
+
+def _overlap_args(toks: list[str], seen: set[str]) -> tuple:
+    a, b, q = toks
+    if a not in seen:
+        seen.add(_species(a))
+    if b not in seen:
+        seen.add(_species(b))
+    return a, b, float(q)
+
+
+# scalar key -> converter, in the order the values are converted
+_SCALARS = {
+    "model": CountingModel,
+    "stirling_form": StirlingForm,
+    "weighting": Weighting,
+    "final_volume": float,
+    "id": str,
+}
+# list key -> (layout, (name in messages, converter) per token, convert, make)
+_LISTS = {
+    "compartment": (
+        "<species> <N> <V> <T>",
+        (("species", _species), ("N", int), ("V", float), ("T", float)),
+        _compartment_args,
+        GasCompartment,
+    ),
+    "overlap": (
+        "<species_a> <species_b> <q>",
+        (("species", _species), ("species", _species), ("overlap", float)),
+        _overlap_args,
+        SpeciesOverlap,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -60,24 +97,6 @@ class ScenarioFile:
 
     id: str
     scenario: MixingScenario
-
-
-def _key_col(key_part: str) -> int:
-    """1-based column of the key on a ``key = value`` line."""
-    return (len(key_part) - len(key_part.lstrip())) + 1
-
-
-def _value_col(key_part: str, value_part: str) -> int:
-    """1-based column of the value on a ``key = value`` line."""
-    return len(key_part) + 1 + (len(value_part) - len(value_part.lstrip())) + 1
-
-
-def _tokens(value_part: str, value_offset: int) -> list[tuple[str, int]]:
-    """Whitespace-split tokens of a value with their 1-based columns."""
-    return [
-        (m.group(), value_offset + m.start() + 1)
-        for m in re.finditer(r"\S+", value_part)
-    ]
 
 
 def parse_scenario(
@@ -94,144 +113,78 @@ def parse_scenario(
         return ScenarioParseError(message, source=source, line=line, column=column)
 
     scalars: dict[str, tuple[str, int, int]] = {}  # key -> (value, line, col)
-    compartments: list[GasCompartment] = []
-    overlaps: list[SpeciesOverlap] = []
-    species: set[str] = set()  # tokens that matched _SPECIES_RE in this parse
+    lists: dict[str, list] = {key: [] for key in _LISTS}
+    seen: set[str] = set()  # tokens found to be valid species in this parse
 
-    # Well-formed compartment and overlap lines take the first two branches;
-    # everything else (blank lines, comments, scalars, errors) the last.
-    # Columns are worked out only where they are reported: in errors and
-    # for scalar values, which are converted after the loop.
+    # A well-formed list line takes the first branch; everything else
+    # (blank lines, comments, scalars, errors) the second.  A list line's
+    # columns are worked out only when it is in error.
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key_part, eq, value_part = raw.partition("=")
         key = key_part.strip()
         toks = value_part.split()
-        if key == "compartment" and len(toks) == 4:
-            name, n, v, t = toks
-            try:
-                if name not in species and not _is_species(name, species):
-                    raise ValueError(name)
-                n, v, t = int(n), float(v), float(t)
-            except ValueError:
-                _raise_token_error(
-                    key_part, value_part, _COMPARTMENT_FIELDS, fail, lineno
-                )
-            compartments.append(GasCompartment(name, n, v, t))
-        elif key == "overlap" and len(toks) == 3:
-            a, b, q = toks
-            try:
-                if (a not in species and not _is_species(a, species)) or (
-                    b not in species and not _is_species(b, species)
-                ):
-                    raise ValueError(a, b)
-                q = float(q)
-            except ValueError:
-                _raise_token_error(
-                    key_part, value_part, _OVERLAP_FIELDS, fail, lineno
-                )
-            overlaps.append(SpeciesOverlap(a, b, q))
-        else:
-            stripped = raw.strip()
-            if not stripped or stripped[0] == "#":
+        row = _LISTS.get(key)
+        if row is not None:
+            layout, fields, convert, make = row
+            if len(toks) == len(fields):
+                try:
+                    args = convert(toks, seen)
+                except ValueError:
+                    # scan the line again, now with columns, for the bad token
+                    col0 = len(key_part) + 2  # 1-based column of value_part
+                    matches = re.finditer(r"\S+", value_part)
+                    for m, (what, kind) in zip(matches, fields):
+                        _convert(kind, m.group(), what, fail, lineno, col0 + m.start())
+                    raise AssertionError("a value failed to convert, no token did")
+                lists[key].append(make(*args))
                 continue
-            if not eq:
-                raise fail("expected 'key = value'", lineno, 1)
-            if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
-                raise fail(f"unknown key {key!r}", lineno, _key_col(key_part))
-            value_col = _value_col(key_part, value_part)
-            if not toks:
-                raise fail(f"empty value for key {key!r}", lineno, value_col)
-            if key == "compartment":
-                raise fail(
-                    f"compartment needs '<species> <N> <V> <T>', got {len(toks)} tokens",
-                    lineno,
-                    value_col,
-                )
-            if key == "overlap":
-                raise fail(
-                    f"overlap needs '<species_a> <species_b> <q>', got {len(toks)} tokens",
-                    lineno,
-                    value_col,
-                )
-            if key in scalars:
-                raise fail(f"duplicate key {key!r}", lineno, _key_col(key_part))
-            scalars[key] = (value_part.strip(), lineno, value_col)
+        if raw.lstrip()[:1] in ("", "#"):  # a blank line or a comment
+            continue
+        if not eq:
+            raise fail("expected 'key = value'", lineno, 1)
+        key_col = len(key_part) - len(key_part.lstrip()) + 1
+        if row is None and key not in _SCALARS:
+            raise fail(f"unknown key {key!r}", lineno, key_col)
+        value_col = len(key_part) + 2 + len(value_part) - len(value_part.lstrip())
+        if not toks:
+            raise fail(f"empty value for key {key!r}", lineno, value_col)
+        if row is not None:
+            raise fail(f"{key} needs '{layout}', got {len(toks)} tokens", lineno, value_col)
+        if key in scalars:
+            raise fail(f"duplicate key {key!r}", lineno, key_col)
+        scalars[key] = (value_part.strip(), lineno, value_col)
 
-    if not compartments:
-        raise ScenarioParseError(
-            "scenario declares no compartments", source=source
-        )
+    if not lists["compartment"]:
+        raise ScenarioParseError("scenario declares no compartments", source=source)
 
     # keys left out take MixingScenario's defaults
-    options = {
-        key: _parse_choice(scalars, key, enum_cls, source)
-        for key, enum_cls in _CHOICE_KEYS
-        if key in scalars
-    }
-    if "final_volume" in scalars:
-        value, lineno, col = scalars["final_volume"]
-        options["final_volume"] = _parse_float(value, fail, lineno, col, "final_volume")
-    scenario = MixingScenario(
-        compartments=tuple(compartments), overlaps=tuple(overlaps), **options
-    )
-
-    scenario_id = scalars["id"][0] if "id" in scalars else default_id
+    options = {}
+    for key, kind in _SCALARS.items():
+        if key in scalars:
+            value, lineno, col = scalars[key]
+            options[key] = _convert(kind, value, key, fail, lineno, col)
+    scenario_id = options.pop("id", default_id)
+    scenario = MixingScenario(lists["compartment"], overlaps=lists["overlap"], **options)
     return ScenarioFile(id=scenario_id, scenario=scenario)
 
 
-def _is_species(token: str, species: set[str]) -> bool:
-    """Whether token is a valid species label; a valid one joins ``species``."""
-    if _SPECIES_RE.match(token) is None:
-        return False
-    species.add(token)
-    return True
-
-
-def _raise_token_error(key_part, value_part, fields, fail, lineno) -> NoReturn:
-    """Raise the error for the first bad token of a list value, with its column.
-
-    The parse splits values without tracking columns; only when a token
-    fails to convert is its line scanned again for them.  ``fields`` names
-    what each token is: "species", "N", or a number's label.
-    """
-    value_offset = len(key_part) + 1  # 0-based start of value_part
-    for (token, col), field in zip(_tokens(value_part, value_offset), fields):
-        if field == "species":
-            if _SPECIES_RE.match(token) is None:
-                raise fail(f"invalid species token {token!r}", lineno, col) from None
-        elif field == "N":
-            _parse_int(token, fail, lineno, col, field)
-        else:
-            _parse_float(token, fail, lineno, col, field)
-    raise AssertionError("no bad token in a value that failed to convert")
-
-
-def _parse_int(token, fail, lineno, col, what):
+def _convert(kind, token, what, fail, lineno, col):
+    """``token`` converted by ``kind`` (a converter from a key table), or the
+    ScenarioParseError for it: every token and value error is written here."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise fail(f"{what} must be an integer, got {token!r}", lineno, col) from None
-
-
-def _parse_float(token, fail, lineno, col, what):
-    try:
-        return float(token)
-    except ValueError:
-        raise fail(f"{what} must be a number, got {token!r}", lineno, col) from None
-
-
-def _parse_choice(scalars, key, enum_cls, source):
-    value, lineno, col = scalars[key]
-    try:
-        return enum_cls(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_cls)
-        raise ScenarioParseError(
-            f"{key} must be one of: {allowed}; got {value!r}",
-            source=source,
-            line=lineno,
-            column=col,
-        ) from None
+        pass
+    if kind is _species:
+        message = f"invalid species token {token!r}"
+    elif kind is int:
+        message = f"{what} must be an integer, got {token!r}"
+    elif kind is float:
+        message = f"{what} must be a number, got {token!r}"
+    else:  # an enum class
+        allowed = ", ".join(member.value for member in kind)
+        message = f"{what} must be one of: {allowed}; got {token!r}"
+    raise fail(message, lineno, col)
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
@@ -247,6 +200,8 @@ def load_scenario(path: str | Path) -> ScenarioFile:
         raise ScenarioParseError(
             f"not valid UTF-8: {exc.reason} at byte {exc.start}", source=str(path)
         ) from None
+    except ValueError:  # open() refuses a path that holds a NUL character
+        raise ScenarioParseError("embedded null byte", source=repr(str(path))) from None
     text = text.removeprefix("\ufeff")
     return parse_scenario(text, source=str(path), default_id=path.stem)
 

@@ -30,10 +30,12 @@ from mixent import (
     log_factorial_exact,
     log_factorial_stirling,
     log_partition_function,
+    mixing_entropy,
     multiplicity_bose_approx,
     multiplicity_bose_exact,
     multiplicity_distinguishable,
     overlap_weighted_mixing_entropy,
+    parse_scenario,
     partition_change_entropy,
     partition_function,
     separation_work,
@@ -132,6 +134,25 @@ CONTRACT = [
     ("partition-change-volume",
      lambda: partition_change_entropy(2, 5e-324, 1.0, 2, GIBBS),
      "V / parts underflows to 0 at V = 5e-324, parts = 2"),
+    ("scenario-volume-sum",
+     lambda: parse_scenario("compartment = a 1 1e308 1.0\ncompartment = b 1 1e308 1.0"),
+     "final_volume must be finite and > 0, got inf"),
+    ("mixing-entropy-sum",
+     lambda: mixing_entropy(MixingScenario.from_compartments(
+         (GasCompartment(s, 10**305, 1e306, 1.0) for s in "abc"),
+         model=CountingModel.DISTINGUISHABLE,
+     )),
+     "entropy overflows a float at N = 3e+305 particles"),
+    # scenario lines whose tokens convert but whose values break physics
+    ("scenario-overlap-range",
+     lambda: parse_scenario("compartment = a 10 1.0 1.0\noverlap = a b 1.5"),
+     "overlap must lie in [0, 1], got 1.5"),
+    ("scenario-overlap-self",
+     lambda: parse_scenario("compartment = a 10 1.0 1.0\noverlap = a a 0.5"),
+     "overlap of species 'a' with itself is fixed at 1"),
+    ("scenario-compartment-V",
+     lambda: parse_scenario("compartment = a 10 -1.0 1.0"),
+     "V must be finite and > 0, got -1.0"),
 ]
 
 

@@ -323,6 +323,14 @@ class TestMix:
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["mix", "sweep-overlap"])
+    def test_nul_in_path_exit_2(self, capsys, command):
+        # open() raises ValueError, not OSError, for a NUL; a shell cannot
+        # pass one, so only an in-process caller of main meets it
+        code, out, err = run(capsys, command, "--scenario", "a\x00b")
+        assert (code, out) == (2, "")
+        assert err == "error: 'a\\x00b': embedded null byte\n"
+
     def test_byte_order_mark_is_dropped(self, capsys, tmp_path):
         text = (SCENARIO_DIR / "distinct_half.scenario").read_bytes()
         bom = tmp_path / "distinct_half.scenario"

@@ -143,6 +143,7 @@ def test_modules_probe_sees_fractions_once_used():
 
 
 def test_modules_probe_sees_numpy_once_used():
+    pytest.importorskip("numpy")
     probe = MODULES_PROBE.replace(
         "import mixent\n",
         "import mixent\n"

@@ -1,0 +1,118 @@
+"""Laws that hold for every scenario: how a scenario is written does not
+change its numbers.
+
+Each law rewrites the text of 200 seeded random scenarios (2-30
+compartments, every model, Stirling form and weighting) and requires the
+same bits from the rewritten text in the repr of the library's report;
+the line-order law also requires the same ``mix --format json`` stdout.
+Seeded stdlib generators keep the cases fixed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+
+import pytest
+
+from mixent.cli import main
+from mixent.combinatorics import StirlingForm
+from mixent.mixing import Weighting, mixing_entropy
+from mixent.scenario_io import parse_scenario
+from mixent.statmech import CountingModel
+
+SETTINGS = list(itertools.product(CountingModel, StirlingForm, Weighting))
+LABEL_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.+-"
+
+
+def _label(rng: random.Random) -> str:
+    return "".join(rng.choice(LABEL_CHARS) for _ in range(rng.randint(1, 8)))
+
+
+class _Case:
+    """One valid random scenario, written out by ``text``."""
+
+    def __init__(self, rng: random.Random, index: int) -> None:
+        model, form, weighting = SETTINGS[index % len(SETTINGS)]
+        n_comp = rng.randint(2, 30)
+        n_species = rng.randint(1, min(n_comp, 6))
+        labels: set[str] = set()
+        while len(labels) < n_species:
+            labels.add(_label(rng))
+        self.labels = sorted(labels)
+        extra = [rng.choice(self.labels) for _ in range(n_comp - n_species)]
+        species = self.labels + extra
+        T = rng.choice((0.5, 1.0, 300.0))
+        self.compartments = [
+            (s, rng.randint(1, 10**6), rng.uniform(0.01, 5.0), T) for s in species
+        ]
+        # more than two species mix only under one shared overlap
+        q = rng.choice((0.0, 0.25, 1.0, rng.random()))
+        pairs = itertools.combinations(self.labels, 2)
+        self.overlaps = [(a, b, q) for a, b in pairs] if rng.random() < 0.8 else []
+        self.header = [
+            f"id = law-{index}",
+            f"model = {model.value}",
+            f"stirling_form = {form.value}",
+            f"weighting = {weighting.value}",
+        ]
+        if rng.random() < 0.3:
+            volume = math.fsum(c[2] for c in self.compartments)
+            self.header.append(f"final_volume = {volume!r}")
+
+    def lines(self, name: dict[str, str]) -> list[str]:
+        """The compartment, then the overlap lines, each label renamed."""
+        return [
+            f"compartment = {name[s]} {n} {v!r} {T!r}"
+            for s, n, v, T in self.compartments
+        ] + [f"overlap = {name[a]} {name[b]} {q!r}" for a, b, q in self.overlaps]
+
+    def text(self, lines: list[str]) -> str:
+        return "\n".join(self.header + lines) + "\n"
+
+
+def _cases(seed: int):
+    rng = random.Random(seed)
+    for index in range(200):
+        yield rng, _Case(rng, index)
+
+
+def _report(text: str) -> str:
+    return repr(mixing_entropy(parse_scenario(text).scenario))
+
+
+@pytest.fixture
+def mix_json(capsys, tmp_path, monkeypatch):
+    """stdout of ``mix --format json`` on a scenario text."""
+    monkeypatch.delenv("MIXENT_KB", raising=False)
+    path = tmp_path / "law.scenario"
+
+    def run(text: str) -> str:
+        path.write_text(text, encoding="utf-8")
+        assert main(["mix", "--scenario", str(path), "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+def test_line_order_changes_no_bit(mix_json):
+    """Compartment and overlap lines shuffled among themselves."""
+    for rng, case in _cases(20261018):
+        lines = case.lines({s: s for s in case.labels})
+        text = case.text(lines)
+        shuffled = case.text(rng.sample(lines, len(lines)))
+        assert _report(shuffled) == _report(text), shuffled
+        assert mix_json(shuffled) == mix_json(text), shuffled
+
+
+def test_species_names_change_no_number():
+    """Every species label replaced, consistently, by another."""
+    for rng, case in _cases(1871):
+        fresh: set[str] = set()
+        while len(fresh) < len(case.labels):
+            fresh.add(_label(rng))
+        rename = dict(zip(case.labels, rng.sample(sorted(fresh), len(fresh))))
+        text = case.text(case.lines({s: s for s in case.labels}))
+        renamed = case.text(case.lines(rename))
+        assert _report(renamed) == _report(text), renamed

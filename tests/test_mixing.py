@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -166,21 +167,22 @@ class TestMixingEntropy:
         assert r.overlap_applied == 1.0
         assert r.separation_work == 0.0
 
-    def test_entropies_add_left_to_right(self, monkeypatch):
-        # a column that cancels: 1e16 + 1.0 rounds back to 1e16, so left to
-        # right from 0 gives 0.0 where a compensated sum (Python 3.12's
-        # sum()) gives 1.0; every interpreter must give the same bits
-        def column(ns, Vs, T, model, form, constant):
-            return [1e16, 1.0, -1e16] + [0.0] * (len(ns) - 3)
-
-        monkeypatch.setattr(mixent.mixing, "_ideal_gas_S", column)
+    def test_entropies_add_in_any_order(self, monkeypatch):
+        # a column that cancels: 1e16 + 1.0 rounds back to 1e16, so adding
+        # left to right gives 0.0 or 1.0 depending on the order; the
+        # correctly rounded sum is 1.0 in every order and on every interpreter
         scenario = MixingScenario.from_compartments(
             GasCompartment(s, 10, 1.0, 1.0) for s in ("a", "b", "c")
         )
-        r = mixing_entropy(scenario)
-        assert math.fsum([1e16, 1.0, -1e16]) == 1.0
-        assert r.S_initial.S == 0.0  # the three compartments
-        assert r.delta_S == 0.0  # three species against all N as one
+        for terms in itertools.permutations((1e16, 1.0, -1e16)):
+
+            def column(ns, Vs, T, model, form, constant, terms=terms):
+                return list(terms) + [0.0] * (len(ns) - 3)
+
+            monkeypatch.setattr(mixent.mixing, "_ideal_gas_S", column)
+            r = mixing_entropy(scenario)
+            assert r.S_initial.S == 1.0, terms  # the three compartments
+            assert r.delta_S == 0.0, terms  # three species against all N as one
 
     def test_density_mismatch_gains_entropy_even_for_same_species(self):
         a = GasCompartment("argon", 900, 0.5, 1.0)

@@ -6,7 +6,6 @@ import math
 import random
 from functools import partial
 
-import numpy as np
 import pytest
 
 from mixent.combinatorics import StirlingForm, log_factorial_stirling
@@ -81,12 +80,14 @@ class TestPartitionFunction:
 
 class TestOccupations:
     def test_two_level_pinned_values(self):
+        pytest.importorskip("numpy")  # occupations() returns an ndarray
         ens = EnsembleSpec(levels=TWO_LEVELS, N=1000, T=1.0)
         n = occupations(ens)
         assert n[0] == pytest.approx(731.0585786300048, rel=1e-12)
         assert n[1] == pytest.approx(268.94142136999517, rel=1e-12)
 
     def test_sum_is_N_random(self):
+        np = pytest.importorskip("numpy")
         rng = random.Random(11)
         for _ in range(100):
             ens = random_ensemble(rng)
@@ -95,6 +96,7 @@ class TestOccupations:
             assert float(n.sum()) == pytest.approx(ens.N, rel=1e-12)
 
     def test_tiny_temperature_collapses_to_ground(self):
+        pytest.importorskip("numpy")  # occupations() returns an ndarray
         ens = EnsembleSpec(levels=TWO_LEVELS, N=500, T=1e-6)
         n = occupations(ens)
         assert n[0] == pytest.approx(500.0, rel=1e-12)
@@ -404,27 +406,31 @@ class TestGibbsShannonEntropy:
             gibbs_shannon_entropy([1.5, -0.5])
         with pytest.raises(DomainError):
             gibbs_shannon_entropy([])
-        for bad in (
-            0.5,
-            np.array(1.0),
-            np.array([[0.5, 0.5]]),
-            np.array([[1.0]]),
-            [np.array([1.0])],
-            [[0.5], [0.5]],
-            [0.5, math.nan],
-            [math.inf, 0.0],
-            np.array([0.5, 0.5, -0.0, math.nan]),
-        ):
+        for bad in (0.5, [[0.5], [0.5]], [0.5, math.nan], [math.inf, 0.0]):
             with pytest.raises(DomainError):
                 gibbs_shannon_entropy(bad)
 
     def test_any_iterable_of_reals(self):
         p = [0.125, 0.375, 0.5]
         expected = gibbs_shannon_entropy(p)
-        assert gibbs_shannon_entropy(np.array(p)) == expected
-        assert gibbs_shannon_entropy(np.array(p, dtype=np.float32)) == expected
         assert gibbs_shannon_entropy(x for x in p) == expected
         assert gibbs_shannon_entropy((1, 0)) == 0.0
+
+    def test_numpy_arrays_read_as_iterables(self):
+        np = pytest.importorskip("numpy")
+        p = [0.125, 0.375, 0.5]
+        expected = gibbs_shannon_entropy(p)
+        assert gibbs_shannon_entropy(np.array(p)) == expected
+        assert gibbs_shannon_entropy(np.array(p, dtype=np.float32)) == expected
+        for bad in (
+            np.array(1.0),
+            np.array([[0.5, 0.5]]),
+            np.array([[1.0]]),
+            [np.array([1.0])],
+            np.array([0.5, 0.5, -0.0, math.nan]),
+        ):
+            with pytest.raises(DomainError):
+                gibbs_shannon_entropy(bad)
 
 
 class TestHelmholtzFreeEnergy:
