@@ -1,18 +1,22 @@
-"""Argument validation shared by every public constructor and function.
+"""Argument validation shared by every public constructor and function,
+and the one overflow-tolerant float sum.
 
 One flat function per kind of value.  Each rejects ``bool`` (an ``int``
 subclass that is never meant as a count or a quantity here) and reports
 a number beyond the float range as a DomainError, so no public call lets
 ``OverflowError`` escape.  The exact ``int``/``float`` case is tested
 first and returns without a further call: constructors run these once
-per field, ten thousand times for a wide level list.
+per field, ten thousand times for a wide level list.  :func:`fsum` is
+every float sum in the package; each caller says what a sum beyond the
+float range stands for.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from enum import Enum
-from typing import TypeVar
+from typing import Iterable, TypeVar
 
 from .errors import DomainError
 
@@ -96,6 +100,22 @@ def overlap(value: object) -> float:
     if not 0.0 <= q <= 1.0:  # NaN fails the comparison too
         raise DomainError(f"overlap must lie in [0, 1], got {value!r}")
     return q
+
+
+def label(name: str, value: object) -> str:
+    """A non-empty string, such as a species label."""
+    if not isinstance(value, str) or not value:
+        raise DomainError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def fsum(xs: Iterable[float], beyond: float) -> float:
+    """math.fsum (the same bits in any order), or ``beyond`` where it raises:
+    OverflowError where finite terms overflow, ValueError on inf - inf."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return beyond
 
 
 def member(enum_cls: type[_E], value: object) -> _E:

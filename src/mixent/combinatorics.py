@@ -239,10 +239,7 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
         n_i * math.log(g_i) - lf
         for n_i, g_i, lf in zip(ns, degs, StirlingForm.EXACT._log_factorials(ns))
     ]
-    try:
-        return Count.log_only(math.fsum(terms))
-    except OverflowError:  # fsum raises where a sum of finite terms overflows
-        return Count.log_only(_INF)
+    return Count.log_only(_check.fsum(terms, _INF))
 
 
 def _corrected_pair(ns: Sequence[int], degs: Sequence[int]) -> tuple[int, int]:

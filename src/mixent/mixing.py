@@ -56,9 +56,7 @@ class GasCompartment:
     T: float
 
     def __init__(self, species: str, N: int, V: float, T: float) -> None:
-        if not isinstance(species, str) or not species:
-            raise DomainError(f"species must be a non-empty string, got {species!r}")
-        _set_species(self, species)
+        _set_species(self, _check.label("species", species))
         _set_N(self, _check.count("N", N))
         _set_V(self, _check.positive("V", V))
         _set_T(self, _check.positive("T", T))
@@ -77,9 +75,8 @@ class SpeciesOverlap:
     overlap: float
 
     def __init__(self, species_a: str, species_b: str, overlap: float) -> None:
-        for name in (species_a, species_b):
-            if not isinstance(name, str) or not name:
-                raise DomainError(f"species must be a non-empty string, got {name!r}")
+        _check.label("species", species_a)
+        _check.label("species", species_b)
         if species_a == species_b:
             raise DomainError(
                 f"overlap of species {species_a!r} with itself is fixed at 1"
@@ -157,7 +154,7 @@ class MixingScenario:
                 )
             n_sum += c.N
         _check.count("total particle number", n_sum)
-        v_sum = _fsum([c.V for c in comps], math.inf)
+        v_sum = _check.fsum([c.V for c in comps], math.inf)
         v_fin = v_sum if self.final_volume is None else self.final_volume
         v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
@@ -167,15 +164,18 @@ class MixingScenario:
             )
         object.__setattr__(self, "final_volume", v_fin)
         ovl = tuple(self.overlaps)
-        seen: set[tuple[str, str]] = set()  # (species_a, species_b), sorted
+        # the one overlap table, {(species_a, species_b): q} over sorted
+        # pairs; not a field, so eq, hash and repr do not see it
+        table: dict[tuple[str, str], float] = {}
         for o in ovl:
             if not isinstance(o, SpeciesOverlap):
                 raise DomainError(f"overlaps must be SpeciesOverlap, got {o!r}")
             pair = (o.species_a, o.species_b)
-            if pair in seen:
+            if pair in table:
                 raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
-            seen.add(pair)
+            table[pair] = o.overlap
         object.__setattr__(self, "overlaps", ovl)
+        object.__setattr__(self, "_overlap_table", table)
         _check.member(CountingModel, self.model)
         _check.member(StirlingForm, self.stirling_form)
         _check.member(Weighting, self.weighting)
@@ -207,12 +207,7 @@ class MixingScenario:
         """Overlap for a species pair; 1 for identical labels, 0 if unlisted."""
         if a == b:
             return 1.0
-        # the unordered-pair test, without a frozenset per entry
-        for o in self.overlaps:
-            x, y = o.species_a, o.species_b
-            if (x == a and y == b) or (x == b and y == a):
-                return o.overlap
-        return 0.0
+        return self._overlap_table.get((a, b) if a < b else (b, a), 0.0)
 
 
 @dataclass(frozen=True)
@@ -266,27 +261,15 @@ def _effective_overlap(scenario: MixingScenario) -> float:
     scenario mixing three species with unequal overlaps has no single
     consistent q and is rejected).
     """
-    species = scenario.species()
-    if len(species) == 1:
-        return 1.0
-    # built once: pair_overlap scans the whole overlap list on every call.
-    # Keyed like the sorted species pairs that combinations() yields.
-    table = {(o.species_a, o.species_b): o.overlap for o in scenario.overlaps}
-    values = {table.get(pair, 0.0) for pair in itertools.combinations(species, 2)}
+    table = scenario._overlap_table
+    pairs = itertools.combinations(scenario.species(), 2)  # none for one species
+    values = {table.get(pair, 0.0) for pair in pairs}
     if len(values) > 1:
         raise DomainError(
             "pairwise overlaps must all agree when more than two species mix; "
             f"got {sorted(values)}"
         )
-    return values.pop()
-
-
-def _fsum(xs: list[float], beyond: float) -> float:
-    """math.fsum (the same bits in any order), or ``beyond`` where it raises."""
-    try:
-        return math.fsum(xs)
-    except (OverflowError, ValueError):
-        return beyond
+    return values.pop() if values else 1.0
 
 
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
@@ -321,13 +304,13 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         per_species[c.species] = per_species.get(c.species, 0) + n
     N_total = sum(per_species.values())
 
-    S_initial = _fsum(_ideal_gas_S(ns, Vs, T, model, form, 0.0), math.nan)
+    S_initial = _check.fsum(_ideal_gas_S(ns, Vs, T, model, form, 0.0), math.nan)
     # each species alone in the final volume, then all N as one species
     ns_final = [float(n) for n in per_species.values()] + [float(N_total)]
     *S_species, S_final_identical = _ideal_gas_S(
         ns_final, [scenario.final_volume] * len(ns_final), T, model, form, 0.0
     )
-    S_final_distinct = _fsum(S_species, math.nan)
+    S_final_distinct = _check.fsum(S_species, math.nan)
     initial = _entropy_result(S_initial, N_total, model, form)
 
     q = _effective_overlap(scenario)

@@ -109,31 +109,30 @@ class EntropyResult:
 
 
 def _weights(
-    energies: list[float], degs: list[int], T: float
+    levels: tuple[LevelSpec, ...], T: float
 ) -> tuple[float, list[float], float]:
-    """(e_min, [g_i exp(-(e_i - e_min) / T)], Z) for levels given as columns.
+    """(e_min, [g_i exp(-(e_i - e_min) / T)], Z) for checked levels.
 
     Shifting by the minimum energy keeps the largest weight at >= 1, so
     deep levels at tiny T do not underflow everything to zero; weights far
     above the minimum may underflow to exactly 0.  A Z beyond the float
     range is a DomainError.
     """
-    shift = min(energies)
+    shift = min([lv.energy for lv in levels])
     exp = math.exp
-    weights = [g * exp(-(e - shift) / T) for e, g in zip(energies, degs)]
-    try:
-        return shift, weights, math.fsum(weights)
-    except OverflowError:
-        raise DomainError("the partition sum overflows a float") from None
+    weights = [lv.degeneracy * exp(-(lv.energy - shift) / T) for lv in levels]
+    Z = _check.fsum(weights, math.inf)
+    if Z == math.inf:
+        raise DomainError("the partition sum overflows a float")
+    return shift, weights, Z
 
 
 def _occupations(ensemble: EnsembleSpec) -> tuple[list[float], list[int]]:
     """The occupations n_i and the degeneracies g_i, level by level."""
     levels = ensemble.levels
-    degs = [lv.degeneracy for lv in levels]
-    _, weights, Z = _weights([lv.energy for lv in levels], degs, ensemble.T)
+    _, weights, Z = _weights(levels, ensemble.T)
     N = float(ensemble.N)  # the conversion N * w would make, done once
-    return [N * w / Z for w in weights], degs
+    return [N * w / Z for w in weights], [lv.degeneracy for lv in levels]
 
 
 def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
@@ -143,10 +142,7 @@ def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     tiny T do not underflow everything to zero.
     """
     ensemble = EnsembleSpec(levels=levels, N=1, T=T)  # one particle; checks T
-    lvls = ensemble.levels
-    shift, _, Z = _weights(
-        [lv.energy for lv in lvls], [lv.degeneracy for lv in lvls], ensemble.T
-    )
+    shift, _, Z = _weights(ensemble.levels, ensemble.T)
     return -shift / ensemble.T + math.log(Z)
 
 
@@ -180,10 +176,7 @@ def occupations(ensemble: EnsembleSpec) -> np.ndarray:
 def internal_energy(ensemble: EnsembleSpec) -> float:
     """U = sum n_i e_i at the most-probable occupations."""
     n, _ = _occupations(ensemble)
-    try:
-        U = math.fsum(n_i * lv.energy for n_i, lv in zip(n, ensemble.levels))
-    except (OverflowError, ValueError):  # the sum overflows; inf - inf
-        U = math.nan
+    U = _check.fsum([n_i * lv.energy for n_i, lv in zip(n, ensemble.levels)], math.nan)
     if not math.isfinite(U):
         raise DomainError(f"internal energy overflows a float at N = {ensemble.N:.6g}")
     return U
@@ -218,22 +211,14 @@ def entropy_from_levels(
     _check.member(StirlingForm, stirling_form)
     n, degs = _occupations(ensemble)
     log = math.log
-    try:
-        # n ln g - ln n! per level; empty levels add 0.0
-        core = math.fsum(
-            [
-                x * log(g) - lf
-                for x, g, lf in zip(n, degs, stirling_form._log_factorials(n))
-            ]
-        )
-        if model is CountingModel.DISTINGUISHABLE:
-            S = stirling_form.log_factorial(float(ensemble.N)) + core
-        else:
-            # gibbs-corrected == distinguishable - ln N!; bose-approximate
-            # arrives at the same per-level sum from the multiset count
-            S = core
-    except (OverflowError, ValueError):  # ln n! (a DomainError) or the sum
-        S = math.nan  # beyond the float range; fsum raises ValueError on inf - inf
+    # n ln g - ln n! per level (empty levels add 0.0): the gibbs-corrected
+    # entropy, which bose-approximate reaches from the multiset count
+    S = _check.fsum(
+        [x * log(g) - lf for x, g, lf in zip(n, degs, stirling_form._log_factorials(n))],
+        math.nan,
+    )
+    if model is CountingModel.DISTINGUISHABLE:  # plus ln N!, inf past the float range
+        S = stirling_form._log_factorials((float(ensemble.N),))[0] + S
     return _entropy_result(S, ensemble.N, model, stirling_form)
 
 
@@ -297,7 +282,7 @@ def gibbs_shannon_entropy(probabilities: Iterable[float]) -> float:
     contribute nothing (p ln p -> 0).  The vector must be non-empty,
     finite, nonnegative and sum to 1 within 1e-9; anything else is a
     DomainError, not a silent renormalization.  Both sums are
-    ``math.fsum``, so the entries' order does not change the result.
+    ``_check.fsum``, so the entries' order does not change the result.
     """
     try:
         items = list(probabilities)
@@ -309,11 +294,11 @@ def gibbs_shannon_entropy(probabilities: Iterable[float]) -> float:
     p = [_check.finite("probabilities", x) for x in items]
     if any(x < 0.0 for x in p):
         raise DomainError("probabilities must be finite and nonnegative")
-    total = math.fsum(p)
+    total = _check.fsum(p, math.inf)
     if abs(total - 1.0) > 1e-9:
         raise DomainError(f"probabilities sum to {total!r}, not 1")
     log = math.log
-    return math.fsum([-x * log(x) for x in p if x > 0.0])
+    return _check.fsum([-x * log(x) for x in p if x > 0.0], math.inf)
 
 
 def helmholtz_free_energy(
