@@ -164,9 +164,7 @@ class MixingScenario:
             )
         object.__setattr__(self, "final_volume", v_fin)
         ovl = tuple(self.overlaps)
-        # the one overlap table, {(species_a, species_b): q} over sorted
-        # pairs; not a field, so eq, hash and repr do not see it
-        table: dict[tuple[str, str], float] = {}
+        table: dict[tuple[str, str], float] = {}  # (species_a, species_b) -> q
         for o in ovl:
             if not isinstance(o, SpeciesOverlap):
                 raise DomainError(f"overlaps must be SpeciesOverlap, got {o!r}")
@@ -175,6 +173,7 @@ class MixingScenario:
                 raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
             table[pair] = o.overlap
         object.__setattr__(self, "overlaps", ovl)
+        # the one overlap table; not a field, so eq, hash and repr skip it
         object.__setattr__(self, "_overlap_table", table)
         _check.member(CountingModel, self.model)
         _check.member(StirlingForm, self.stirling_form)
@@ -316,11 +315,12 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     q = _effective_overlap(scenario)
     delta_identical = S_final_identical - S_initial
     delta_inter = S_final_distinct - S_final_identical
+    if model is CountingModel.DISTINGUISHABLE:  # it never notices species
+        delta_inter = 0.0
     delta_S = delta_identical + overlap_weighted_mixing_entropy(
         delta_inter, q, scenario.weighting
     )
-    # S_final is inf or NaN whenever S_final_distinct or S_final_identical
-    # is, so this check covers both
+    # S_final is inf or NaN if any entropy in delta_S is: one check covers all
     final = _entropy_result(S_initial + delta_S, N_total, model, form)
     return MixingReport(
         S_initial=initial,
@@ -409,7 +409,6 @@ def spin_field_scenario(
     if N % 2 != 0:
         raise DomainError(f"spin scenario splits N in half, so N must be even; got {N}")
     V = _check.positive("V", V)
-    T = _check.positive("T", T)
     half_n = N // 2
     half_v = V / 2.0
     compartments = (

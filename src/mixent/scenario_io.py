@@ -1,8 +1,10 @@
 """Line-based scenario files: parsing and canonical serialization.
 
 A scenario file is UTF-8 text (a leading byte-order mark is dropped), one
-``key = value`` pair per line.  Blank lines and lines starting with ``#``
-are ignored.  Keys, each one row of the parser's key tables:
+``key = value`` pair per line.  Lines break at ``\\n``, ``\\r\\n`` and ``\\r``
+only, so line numbers are an editor's.  Blank lines and lines starting
+with ``#`` are ignored.  Numbers are ASCII, without ``_`` separators.
+Keys, each one row of the parser's key tables:
 
     id            optional label for reports (default: file stem)
     model         distinguishable | gibbs-corrected | bose-approximate
@@ -50,10 +52,18 @@ def _species(token: str) -> str:
     return token
 
 
+def _ascii(token: str) -> str:
+    """``token``, or ValueError for ``_`` or non-ASCII text, which int() reads."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return token
+
+
 def _compartment_args(toks: list[str], seen: set[str]) -> tuple:
     name, n, v, t = toks
     if name not in seen:
         seen.add(_species(name))
+    _ascii(n + v + t)  # the three numbers in one check
     return name, int(n), float(v), float(t)
 
 
@@ -63,7 +73,12 @@ def _overlap_args(toks: list[str], seen: set[str]) -> tuple:
         seen.add(_species(a))
     if b not in seen:
         seen.add(_species(b))
-    return a, b, float(q)
+    return a, b, float(_ascii(q))
+
+
+def _lines(text: str) -> list[str]:
+    """``text`` split as an editor numbers lines: at \\n, \\r\\n and \\r only."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 # scalar key -> converter, in the order the values are converted
@@ -119,7 +134,7 @@ def parse_scenario(
     # A well-formed list line takes the first branch; everything else
     # (blank lines, comments, scalars, errors) the second.  A list line's
     # columns are worked out only when it is in error.
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         key_part, eq, value_part = raw.partition("=")
         key = key_part.strip()
         toks = value_part.split()
@@ -172,6 +187,8 @@ def _convert(kind, token, what, fail, lineno, col):
     """``token`` converted by ``kind`` (a converter from a key table), or the
     ScenarioParseError for it: every token and value error is written here."""
     try:
+        if kind is int or kind is float:
+            _ascii(token)
         return kind(token)
     except ValueError:
         pass
@@ -217,7 +234,8 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     scenario_id = scenario_file.id
     if (
         not isinstance(scenario_id, str)
-        or scenario_id.splitlines() != [scenario_id]  # empty, or a line break
+        or _lines(scenario_id) != [scenario_id]  # a line break
+        or not scenario_id
         or scenario_id != scenario_id.strip()
     ):
         raise DomainError(

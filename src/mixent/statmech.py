@@ -213,10 +213,8 @@ def entropy_from_levels(
     log = math.log
     # n ln g - ln n! per level (empty levels add 0.0): the gibbs-corrected
     # entropy, which bose-approximate reaches from the multiset count
-    S = _check.fsum(
-        [x * log(g) - lf for x, g, lf in zip(n, degs, stirling_form._log_factorials(n))],
-        math.nan,
-    )
+    lfs = stirling_form._log_factorials(n)
+    S = _check.fsum([x * log(g) - lf for x, g, lf in zip(n, degs, lfs)], math.nan)
     if model is CountingModel.DISTINGUISHABLE:  # plus ln N!, inf past the float range
         S = stirling_form._log_factorials((float(ensemble.N),))[0] + S
     return _entropy_result(S, ensemble.N, model, stirling_form)

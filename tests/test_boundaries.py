@@ -25,6 +25,7 @@ from mixent import (
     binomial,
     classical_symbol_states,
     entropy_from_levels,
+    gibbs_shannon_entropy,
     ideal_gas_entropy,
     internal_energy,
     log_factorial_exact,
@@ -143,6 +144,14 @@ CONTRACT = [
          model=CountingModel.DISTINGUISHABLE,
      )),
      "entropy overflows a float at N = 3e+305 particles"),
+    ("levels-distinguishable-sum",
+     lambda: entropy_from_levels(
+         EnsembleSpec(levels=((0.0, 1), (0.0, 1)), N=10**306, T=1.0),
+         CountingModel.DISTINGUISHABLE,
+     ),
+     "entropy overflows a float at N = 1e+306 particles"),
+    ("gibbs-shannon-sum", lambda: gibbs_shannon_entropy([1e308, 1e308]),
+     "probabilities sum to inf, not 1"),
     # scenario lines whose tokens convert but whose values break physics
     ("scenario-overlap-range",
      lambda: parse_scenario("compartment = a 10 1.0 1.0\noverlap = a b 1.5"),

@@ -92,6 +92,11 @@ class TestBinomial:
                     == binomial(N - 1, n - 1).value + binomial(N - 1, n).value
                 )
 
+    @pytest.mark.parametrize("N", [64, 500, 5000])
+    def test_row_sums_to_a_power_of_two(self, N):
+        # past the oracle's reach; exact all the way to the default limit
+        assert sum(binomial(N, n).value for n in range(N + 1)) == 2**N
+
     def test_log_only_above_limit(self):
         c = binomial(6000, 3000)
         assert c.is_log_only
@@ -151,6 +156,12 @@ class TestMultiplicityDistinguishable:
                     for occ in compositions(N, len(degs))
                 )
                 assert total == sum(degs) ** N
+        # and well past the oracle's reach: 861 occupations of 40 particles
+        total = sum(
+            multiplicity_distinguishable(occ, (1, 2, 3)).value
+            for occ in compositions(40, 3)
+        )
+        assert total == 6**40
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):

@@ -18,7 +18,7 @@ import weakref
 import pytest
 
 from mixent.errors import DomainError
-from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap
+from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap, mixing_entropy
 from mixent.statmech import EnsembleSpec, LevelSpec
 
 NAN = float("nan")
@@ -101,17 +101,44 @@ def test_ten_thousand_levels_fit_in_under_0_7_MB():
     assert size < 700_000
 
 
-@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-def test_containers_of_slotted_members_pickle(protocol):
-    ensemble = EnsembleSpec(levels=(LevelSpec(0.0), LevelSpec(1.5, 3)), N=10, T=2.0)
-    scenario = MixingScenario.from_compartments(
+def _scenario() -> MixingScenario:
+    return MixingScenario.from_compartments(
         (GasCompartment("argon", 10, 0.5, 1.0), GasCompartment("xenon", 20, 1.0, 1.0)),
         overlaps=(SpeciesOverlap("xenon", "argon", 0.25),),
     )
+
+
+def _assert_same_overlaps(twin: MixingScenario, scenario: MixingScenario) -> None:
+    """``twin`` looks overlaps up and mixes exactly as ``scenario`` does."""
+    pairs = [("xenon", "argon"), ("argon", "xenon"), ("argon", "argon"), ("a", "b")]
+    for pair in pairs:
+        assert twin.pair_overlap(*pair) == scenario.pair_overlap(*pair)
+    assert twin.pair_overlap("xenon", "argon") == 0.25
+    assert repr(mixing_entropy(twin)) == repr(mixing_entropy(scenario))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_containers_of_slotted_members_pickle(protocol):
+    ensemble = EnsembleSpec(levels=(LevelSpec(0.0), LevelSpec(1.5, 3)), N=10, T=2.0)
+    scenario = _scenario()
     for obj in (ensemble, scenario):
         back = pickle.loads(pickle.dumps(obj, protocol=protocol))
         assert back == obj
         assert repr(back) == repr(obj)
+    _assert_same_overlaps(back, scenario)  # back: the scenario, pickled last
+
+
+def test_scenario_copies_and_replace_keep_the_overlaps():
+    scenario = _scenario()
+    twins = copy.copy(scenario), copy.deepcopy(scenario), dataclasses.replace(scenario)
+    for twin in twins:
+        assert twin == scenario
+        _assert_same_overlaps(twin, scenario)
+    # replace builds the overlap table again, from the new overlaps
+    half = (SpeciesOverlap("argon", "xenon", 0.5),)
+    other = dataclasses.replace(scenario, overlaps=half)
+    assert other.pair_overlap("xenon", "argon") == 0.5
+    assert mixing_entropy(other).overlap_applied == 0.5
 
 
 class TestFieldsAndReplace:

@@ -176,6 +176,29 @@ ERROR_TABLE = [
         "weighting must be one of: complement, literal; got 'sideways'",
     ),
     ("id = a\n\t id = b", 4, 3, "duplicate key 'id'"),
+    # numbers are ASCII without '_': int() and float() would read these
+    ("compartment = b 1_000 1.0 1.0", 3, 17, "N must be an integer, got '1_000'"),
+    (
+        "compartment = b \u0661\u0660 1.0 1.0",
+        3,
+        17,
+        "N must be an integer, got '\u0661\u0660'",
+    ),
+    ("compartment = b 10 \uff11.5 1.0", 3, 20, "V must be a number, got '\uff11.5'"),
+    ("compartment = b 10 1.0 1_0.0", 3, 24, "T must be a number, got '1_0.0'"),
+    ("overlap = a b 0.\u0665", 3, 15, "overlap must be a number, got '0.\u0665'"),
+    ("final_volume = 1_0.0", 3, 16, "final_volume must be a number, got '1_0.0'"),
+    # lines break at \n, \r\n and \r only, as an editor numbers them
+    (
+        "compartment = b 10 1.0 1.0\x0cbogus = 1",
+        3,
+        15,
+        "compartment needs '<species> <N> <V> <T>', got 7 tokens",
+    ),
+    ("id = a\x85b\nbogus = 1", 4, 1, "unknown key 'bogus'"),
+    ("id = a\u2028b\u2029\x0b\x1c\nbogus = 1", 4, 1, "unknown key 'bogus'"),
+    ("id = a\r\nbogus = 1", 4, 1, "unknown key 'bogus'"),
+    ("id = a\r  bogus = 1", 4, 3, "unknown key 'bogus'"),
     (
         "compartment = b 10 1.0 1.0\ncompartment = c 10 1.0 cold",
         4,
@@ -250,11 +273,19 @@ class TestRoundTrip:
         with pytest.raises(DomainError, match="^species 'b c' "):
             serialize_scenario(ScenarioFile("demo", scenario))
 
-    @pytest.mark.parametrize("scenario_id", ["", "a\nb", " padded ", "a\u2028"])
+    @pytest.mark.parametrize(
+        "scenario_id", ["", "a\nb", " padded ", "a\u2028", "a\rb", "a\r\nb"]
+    )
     def test_unreadable_id_is_refused(self, scenario_id):
         sf = parse_scenario("compartment = a 10 1.0 1.0\n")
         with pytest.raises(DomainError, match=f"^id {re.escape(repr(scenario_id))} "):
             serialize_scenario(ScenarioFile(scenario_id, sf.scenario))
+
+    @pytest.mark.parametrize("scenario_id", ["a\x85b", "a\u2028b", "a\x0cb"])
+    def test_id_holding_a_unicode_line_separator_round_trips(self, scenario_id):
+        scenario = parse_scenario("compartment = a 1 1.0 1.0").scenario
+        sf = ScenarioFile(scenario_id, scenario)
+        assert parse_scenario(serialize_scenario(sf)) == sf
 
     def test_every_serializable_scenario_round_trips(self):
         # labels and ids now and then hold spaces, comment marks, line
