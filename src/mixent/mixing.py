@@ -163,21 +163,32 @@ class MixingScenario:
                 f"volumes {v_sum!r} (isothermal merge, no compression)"
             )
         object.__setattr__(self, "final_volume", v_fin)
-        ovl = tuple(self.overlaps)
-        table: dict[tuple[str, str], float] = {}  # (species_a, species_b) -> q
-        for o in ovl:
+        object.__setattr__(self, "overlaps", tuple(self.overlaps))
+        self._set_overlap_table()
+        _check.member(CountingModel, self.model)
+        _check.member(StirlingForm, self.stirling_form)
+        _check.member(Weighting, self.weighting)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # pickles made before the table existed carry no _overlap_table
+        self.__dict__.update(state)
+        self._set_overlap_table()
+
+    def _set_overlap_table(self) -> None:
+        """Build the one overlap table, (species_a, species_b) -> q.
+
+        Not a field, so eq, hash and repr skip it.  Rejects an entry that is
+        not a SpeciesOverlap and a pair listed twice.
+        """
+        table: dict[tuple[str, str], float] = {}
+        for o in self.overlaps:
             if not isinstance(o, SpeciesOverlap):
                 raise DomainError(f"overlaps must be SpeciesOverlap, got {o!r}")
             pair = (o.species_a, o.species_b)
             if pair in table:
                 raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
             table[pair] = o.overlap
-        object.__setattr__(self, "overlaps", ovl)
-        # the one overlap table; not a field, so eq, hash and repr skip it
         object.__setattr__(self, "_overlap_table", table)
-        _check.member(CountingModel, self.model)
-        _check.member(StirlingForm, self.stirling_form)
-        _check.member(Weighting, self.weighting)
 
     @classmethod
     def from_compartments(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -81,7 +82,7 @@ class EnumerationResult:
     total: int
 
 
-# most suffix keys enumerate_assignments holds at once; bounds its memory
+# most suffix keys enumerate_assignments builds at once; bounds its memory
 _SUFFIX_BLOCK = 4096
 
 
@@ -103,8 +104,12 @@ def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
 
 
 def _suffix_length(G: int, N: int) -> int:
-    """Largest k <= N with G**k <= _SUFFIX_BLOCK."""
-    k = 0
+    """Largest k <= N with G**k <= _SUFFIX_BLOCK, and at least 1 when N >= 1.
+
+    A one-particle suffix is the weight tuple itself, so it costs no memory
+    beyond the weights even when G exceeds the block.
+    """
+    k = min(N, 1)
     while k < N and G ** (k + 1) <= _SUFFIX_BLOCK:
         k += 1
     return k
@@ -132,11 +137,14 @@ def enumerate_assignments(
 
     Iterates all (sum g)^N assignments and groups them by the occupation
     vector they induce on the cells.  Each assignment is keyed by the sum
-    of its substates' weights (see _substate_weights) and counted once;
-    the last k particles' keys are built once, and each key of the first
-    N - k particles is added to all of them at C speed.  Raises
-    OracleSizeError when the assignment count exceeds ASSIGNMENT_GUARD
-    (a single substate counting as two).
+    of its substates' weights (see _substate_weights) and counted once.
+    The keys of the last k particles (see _suffix_length) are built once,
+    one particle at a time, each from its parent's key plus one weight, in
+    itertools.product order; each key of the first N - k particles is then
+    added to every one of them by operator.add inside Counter.update, so
+    the per-assignment work runs in C.  Raises OracleSizeError when the
+    assignment count exceeds ASSIGNMENT_GUARD (a single substate counting
+    as two).
     """
     N = _check.integer("N", N)
     cells = _as_cells(cells)
@@ -151,10 +159,12 @@ def enumerate_assignments(
     n_assignments = G**N
     weight = _substate_weights(cells, N)
     k = _suffix_length(G, N)
-    suffix = list(map(sum, itertools.product(weight, repeat=k)))
+    suffix = weight if k else (0,)
+    for _ in range(k - 1):
+        suffix = [key + w for key in suffix for w in weight]
     tally: Counter[int] = Counter()
     for prefix in map(sum, itertools.product(weight, repeat=N - k)):
-        tally.update(map(prefix.__add__, suffix))
+        tally.update(map(operator.add, itertools.repeat(prefix), suffix))
     total = sum(tally.values())
     if total != n_assignments:
         raise AssertionError(

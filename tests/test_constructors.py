@@ -10,7 +10,9 @@ message of every rejection.
 from __future__ import annotations
 
 import copy
+import copyreg
 import dataclasses
+import io
 import pickle
 import tracemalloc
 import weakref
@@ -126,6 +128,28 @@ def test_containers_of_slotted_members_pickle(protocol):
         assert back == obj
         assert repr(back) == repr(obj)
     _assert_same_overlaps(back, scenario)  # back: the scenario, pickled last
+
+
+def _pickled_before_the_table(scenario: MixingScenario, protocol: int) -> bytes:
+    """``scenario`` pickled as it was before it carried an overlap table."""
+
+    def reduce(obj):
+        new, args, state = obj.__reduce_ex__(2)[:3]
+        return new, args, {k: v for k, v in state.items() if k != "_overlap_table"}
+
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out, protocol)
+    pickler.dispatch_table = {**copyreg.dispatch_table, MixingScenario: reduce}
+    pickler.dump(scenario)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_scenario_pickled_without_its_table_loads_with_it(protocol):
+    scenario = _scenario()
+    back = pickle.loads(_pickled_before_the_table(scenario, protocol))
+    assert back == scenario
+    _assert_same_overlaps(back, scenario)
 
 
 def test_scenario_copies_and_replace_keep_the_overlaps():

@@ -284,3 +284,74 @@ class TestCellSpec:
     def test_zero_degeneracy_rejected(self):
         with pytest.raises(Exception):
             CellSpec((1, 0))
+
+
+@pytest.fixture
+def tallies(monkeypatch):
+    """Per Counter the oracle makes, the number of keys each update gave it."""
+    made = []
+
+    class RecordingCounter(Counter):
+        def __init__(self, *args, **kwds):
+            self.received = []
+            made.append(self.received)
+            super().__init__(*args, **kwds)
+
+        def update(self, iterable=None, /, **kwds):
+            if iterable is not None:
+                iterable = list(iterable)
+                self.received.append(len(iterable))
+            super().update(iterable, **kwds)
+
+    monkeypatch.setattr(mixent.oracle, "Counter", RecordingCounter)
+    return made
+
+
+# N < k, N = k and N > k against the 4096-key suffix block, then wide cells
+# (G > 4096), where the suffix is one particle deep
+COUNTED_ONCE_CASES = [
+    (2, (3, 2)),
+    (5, (3, 2)),
+    (7, (3, 2)),
+    (1, (10**5,)),
+    (2, (4096, 1)),
+]
+
+
+class TestEveryConfigurationCountedOnce:
+    def test_cases_cover_every_block_shape(self):
+        shapes = {
+            "G>4096" if sum(degs) > 4096
+            else "N<k" if N < block_depth(sum(degs))
+            else "N=k" if N == block_depth(sum(degs))
+            else "N>k"
+            for N, degs in COUNTED_ONCE_CASES
+        }
+        assert shapes == {"N<k", "N=k", "N>k", "G>4096"}
+
+    @pytest.mark.parametrize("N, degs", COUNTED_ONCE_CASES, ids=str)
+    def test_labeled_tally_receives_one_key_per_assignment(
+        self, tallies, N, degs
+    ):
+        # one tally, fed every assignment's own key: a table of suffix
+        # counts multiplied into it, or a DP over particles, feeds fewer
+        result = enumerate_assignments(N, degs)
+        assert [sum(received) for received in tallies] == [sum(degs) ** N]
+        assert result.total == sum(degs) ** N
+
+    # the last case has C(4098, 2) = 8.4 million patterns; (1, (10**5,))
+    # stands for the wide cells here
+    @pytest.mark.parametrize("N, degs", COUNTED_ONCE_CASES[:-1], ids=str)
+    def test_multiset_tally_receives_one_key_per_pattern(
+        self, tallies, N, degs
+    ):
+        result = enumerate_indistinct(N, degs)
+        patterns = math.comb(sum(degs) + N - 1, N)
+        assert [sum(received) for received in tallies] == [patterns]
+        assert result.total == patterns
+
+    def test_one_wide_particle_is_one_update(self, tallies):
+        # the one-particle suffix is the weight tuple: no per-assignment loop
+        result = enumerate_assignments(1, (10**5,))
+        assert tallies == [[10**5]]
+        assert result.by_occupation == {occ(1): 10**5}
