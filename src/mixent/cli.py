@@ -22,6 +22,8 @@ entropy, mix and sweep-overlap print units, so only they read it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -43,8 +45,8 @@ from .statmech import (
     ideal_gas_entropy,
 )
 
-# mixing, scenario_io, oracle, json, dataclasses and itertools are imported
-# by the handlers that use them, so count and entropy calls never load them
+# mixing, scenario_io, oracle and json are imported by the handlers that
+# use them, so count and entropy calls never load them
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
@@ -103,6 +105,17 @@ def _resolve_units() -> tuple[float, str]:
     raise DomainError(f"MIXENT_KB must be 'reduced' or 'si', got {mode!r}")
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def _csv_cell(value: object) -> str:
+    """``value`` as one CSV cell, quoted (RFC 4180) only when it has to be."""
+    text = str(value)
+    if _CSV_SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _emit(rows: list[dict[str, object]], fmt: str) -> None:
     """Rows of column name -> value; floats print to 12 significant digits.
 
@@ -110,7 +123,7 @@ def _emit(rows: list[dict[str, object]], fmt: str) -> None:
     itself is deterministic, not just the parsed values.
     """
     if fmt == "csv":
-        quote = str
+        quote = _csv_cell
     else:
         import json
 
@@ -204,9 +217,6 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _overlap_grid(base: MixingScenario, points: int) -> Iterator[MixingScenario]:
     """``base`` with every species pair at q = 0, 1/(points-1), ..., 1."""
-    import dataclasses
-    import itertools
-
     from .mixing import SpeciesOverlap
 
     pairs = list(itertools.combinations(base.species(), 2))

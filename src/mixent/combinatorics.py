@@ -348,8 +348,6 @@ def multiplicity_bose_approx(n: int, g: int) -> float:
     """
     n = _check.count("n", n, 0)
     g = _check.integer("g", g, 1)
-    if n == 0:
-        return 0.0
     return n * math.log(g) - log_factorial_exact(n)
 
 

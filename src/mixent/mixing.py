@@ -126,7 +126,8 @@ class MixingScenario:
     (1e-12 relative), and final_volume must equal the summed compartment
     volumes (1e-12 relative); violations are domain errors since the
     entropy bookkeeping here has no terms for heat or compression work.
-    Left out, final_volume is that sum.
+    Left out, final_volume is that sum.  Copied, deep-copied, replaced and
+    unpickled scenarios pass the same checks as constructed ones.
     """
 
     compartments: tuple[GasCompartment, ...]
@@ -163,25 +164,12 @@ class MixingScenario:
                 f"volumes {v_sum!r} (isothermal merge, no compression)"
             )
         object.__setattr__(self, "final_volume", v_fin)
-        object.__setattr__(self, "overlaps", tuple(self.overlaps))
-        self._set_overlap_table()
-        _check.member(CountingModel, self.model)
-        _check.member(StirlingForm, self.stirling_form)
-        _check.member(Weighting, self.weighting)
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        # pickles made before the table existed carry no _overlap_table
-        self.__dict__.update(state)
-        self._set_overlap_table()
-
-    def _set_overlap_table(self) -> None:
-        """Build the one overlap table, (species_a, species_b) -> q.
-
-        Not a field, so eq, hash and repr skip it.  Rejects an entry that is
-        not a SpeciesOverlap and a pair listed twice.
-        """
+        overlaps = tuple(self.overlaps)
+        object.__setattr__(self, "overlaps", overlaps)
+        # the one overlap table, (species_a, species_b) -> q; not a field,
+        # so eq, hash and repr skip it
         table: dict[tuple[str, str], float] = {}
-        for o in self.overlaps:
+        for o in overlaps:
             if not isinstance(o, SpeciesOverlap):
                 raise DomainError(f"overlaps must be SpeciesOverlap, got {o!r}")
             pair = (o.species_a, o.species_b)
@@ -189,6 +177,15 @@ class MixingScenario:
                 raise DomainError(f"duplicate overlap entry for pair {list(pair)}")
             table[pair] = o.overlap
         object.__setattr__(self, "_overlap_table", table)
+        _check.member(CountingModel, self.model)
+        _check.member(StirlingForm, self.stirling_form)
+        _check.member(Weighting, self.weighting)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # copies and unpickled scenarios pass the constructor's checks, and
+        # pickles made before the table existed load with it
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @classmethod
     def from_compartments(

@@ -103,18 +103,6 @@ def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
     )
 
 
-def _suffix_length(G: int, N: int) -> int:
-    """Largest k <= N with G**k <= _SUFFIX_BLOCK, and at least 1 when N >= 1.
-
-    A one-particle suffix is the weight tuple itself, so it costs no memory
-    beyond the weights even when G exceeds the block.
-    """
-    k = min(N, 1)
-    while k < N and G ** (k + 1) <= _SUFFIX_BLOCK:
-        k += 1
-    return k
-
-
 def _decode(
     tally: Counter[int], N: int, m: int
 ) -> dict[OccupationVector, int]:
@@ -138,13 +126,14 @@ def enumerate_assignments(
     Iterates all (sum g)^N assignments and groups them by the occupation
     vector they induce on the cells.  Each assignment is keyed by the sum
     of its substates' weights (see _substate_weights) and counted once.
-    The keys of the last k particles (see _suffix_length) are built once,
-    one particle at a time, each from its parent's key plus one weight, in
-    itertools.product order; each key of the first N - k particles is then
-    added to every one of them by operator.add inside Counter.update, so
-    the per-assignment work runs in C.  Raises OracleSizeError when the
-    assignment count exceeds ASSIGNMENT_GUARD (a single substate counting
-    as two).
+    The keys of the last k particles are built once, one particle at a
+    time while G**k fits _SUFFIX_BLOCK, each from its parent's key plus one
+    weight, in itertools.product order; k >= 1 for N >= 1, a one-particle
+    suffix being the weight tuple itself however large G is.  Each key of
+    the first N - k particles is then added to every one of them by
+    operator.add inside Counter.update, so the per-assignment work runs in
+    C.  Raises OracleSizeError when the assignment count exceeds
+    ASSIGNMENT_GUARD (a single substate counting as two).
     """
     N = _check.integer("N", N)
     cells = _as_cells(cells)
@@ -158,10 +147,10 @@ def enumerate_assignments(
         )
     n_assignments = G**N
     weight = _substate_weights(cells, N)
-    k = _suffix_length(G, N)
-    suffix = weight if k else (0,)
-    for _ in range(k - 1):
+    suffix, k = (weight, 1) if N else ((0,), 0)
+    while k < N and len(suffix) * G <= _SUFFIX_BLOCK:
         suffix = [key + w for key in suffix for w in weight]
+        k += 1
     tally: Counter[int] = Counter()
     for prefix in map(sum, itertools.product(weight, repeat=N - k)):
         tally.update(map(operator.add, itertools.repeat(prefix), suffix))

@@ -23,10 +23,11 @@ Example::
     overlap = argon krypton 0.0
 
 Malformed text (unknown keys, bad numbers, wrong token counts) raises
-ScenarioParseError with file/line/column.  Values that lex fine but break
-physics (negative volume, mismatched temperatures) raise DomainError from
-the scenario constructors instead; the CLI maps the two cases to
-different exit codes.
+ScenarioParseError with file/line/column.  Lines are read in file order
+and every value is converted on its own line, so the first malformed line
+is the one reported.  Values that lex fine but break physics (negative
+volume, mismatched temperatures) raise DomainError from the scenario
+constructors instead; the CLI maps the two cases to different exit codes.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
-# scalar key -> converter, in the order the values are converted
+# scalar key -> converter
 _SCALARS = {
     "model": CountingModel,
     "stirling_form": StirlingForm,
@@ -127,7 +128,7 @@ def parse_scenario(
     def fail(message: str, line: int, column: int | None = None) -> ScenarioParseError:
         return ScenarioParseError(message, source=source, line=line, column=column)
 
-    scalars: dict[str, tuple[str, int, int]] = {}  # key -> (value, line, col)
+    options: dict[str, object] = {}  # scalar key -> converted value
     lists: dict[str, list] = {key: [] for key in _LISTS}
     seen: set[str] = set()  # tokens found to be valid species in this parse
 
@@ -165,19 +166,15 @@ def parse_scenario(
             raise fail(f"empty value for key {key!r}", lineno, value_col)
         if row is not None:
             raise fail(f"{key} needs '{layout}', got {len(toks)} tokens", lineno, value_col)
-        if key in scalars:
+        if key in options:
             raise fail(f"duplicate key {key!r}", lineno, key_col)
-        scalars[key] = (value_part.strip(), lineno, value_col)
+        value = value_part.strip()
+        options[key] = _convert(_SCALARS[key], value, key, fail, lineno, value_col)
 
     if not lists["compartment"]:
         raise ScenarioParseError("scenario declares no compartments", source=source)
 
     # keys left out take MixingScenario's defaults
-    options = {}
-    for key, kind in _SCALARS.items():
-        if key in scalars:
-            value, lineno, col = scalars[key]
-            options[key] = _convert(kind, value, key, fail, lineno, col)
     scenario_id = options.pop("id", default_id)
     scenario = MixingScenario(lists["compartment"], overlaps=lists["overlap"], **options)
     return ScenarioFile(id=scenario_id, scenario=scenario)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -451,6 +453,33 @@ class TestSweepOverlap:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+# (file name, id line, the id a report row carries): an id with a comma and
+# quotes, and a file-stem id with a line break
+QUOTED_IDS = {
+    "comma-and-quotes": ("quoted.scenario", 'id = a,b "c"\n', 'a,b "c"'),
+    "line-break": ("two\nlines.scenario", "", "two\nlines"),
+}
+
+
+@pytest.mark.parametrize("name, id_line, id_", QUOTED_IDS.values(), ids=QUOTED_IDS)
+@pytest.mark.parametrize(
+    "argv", [("mix",), ("sweep-overlap", "--points", "3")], ids=["mix", "sweep"]
+)
+def test_csv_quotes_an_id_that_needs_it(capsys, tmp_path, argv, name, id_line, id_):
+    path = tmp_path / name
+    path.write_text(
+        id_line + "compartment = a 10 0.5 1.0\ncompartment = b 10 0.5 1.0\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, *argv, "--scenario", str(path))
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert len(header) == 10
+    assert len(rows) == (1 if argv == ("mix",) else 3)
+    assert [len(row) for row in rows] == [10] * len(rows)
+    assert [row[0] for row in rows] == [id_] * len(rows)
 
 
 class TestOracleCheck:

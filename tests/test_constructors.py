@@ -130,12 +130,12 @@ def test_containers_of_slotted_members_pickle(protocol):
     _assert_same_overlaps(back, scenario)  # back: the scenario, pickled last
 
 
-def _pickled_before_the_table(scenario: MixingScenario, protocol: int) -> bytes:
-    """``scenario`` pickled as it was before it carried an overlap table."""
+def _pickled(scenario: MixingScenario, protocol: int, edit) -> bytes:
+    """``scenario`` pickled with ``edit(state)`` in place of its state."""
 
     def reduce(obj):
         new, args, state = obj.__reduce_ex__(2)[:3]
-        return new, args, {k: v for k, v in state.items() if k != "_overlap_table"}
+        return new, args, edit(state)
 
     out = io.BytesIO()
     pickler = pickle.Pickler(out, protocol)
@@ -144,12 +144,60 @@ def _pickled_before_the_table(scenario: MixingScenario, protocol: int) -> bytes:
     return out.getvalue()
 
 
+def _pickled_before_the_table(scenario: MixingScenario, protocol: int) -> bytes:
+    """``scenario`` pickled as it was before it carried an overlap table."""
+
+    def edit(state):
+        return {k: v for k, v in state.items() if k != "_overlap_table"}
+
+    return _pickled(scenario, protocol, edit)
+
+
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_scenario_pickled_without_its_table_loads_with_it(protocol):
     scenario = _scenario()
     back = pickle.loads(_pickled_before_the_table(scenario, protocol))
     assert back == scenario
     _assert_same_overlaps(back, scenario)
+
+
+# fields that break a MixingScenario invariant: temperatures 1.0 and 7.0, and
+# one overlap pair listed twice
+BROKEN_FIELDS = {
+    "non-isothermal": {
+        "compartments": (
+            GasCompartment("argon", 10, 0.5, 1.0),
+            GasCompartment("xenon", 20, 1.0, 7.0),
+        )
+    },
+    "duplicate-pair": {"overlaps": (SpeciesOverlap("argon", "xenon", 0.25),) * 2},
+}
+
+
+def _constructor_error(fields) -> str:
+    with pytest.raises(DomainError) as exc:
+        dataclasses.replace(_scenario(), **fields)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+@pytest.mark.parametrize("fields", BROKEN_FIELDS.values(), ids=BROKEN_FIELDS)
+def test_scenario_unpickled_with_a_broken_state_raises(protocol, fields):
+    data = _pickled(_scenario(), protocol, lambda state: {**state, **fields})
+    with pytest.raises(DomainError) as exc:
+        pickle.loads(data)
+    assert str(exc.value) == _constructor_error(fields)
+
+
+@pytest.mark.parametrize("fields", BROKEN_FIELDS.values(), ids=BROKEN_FIELDS)
+@pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
+def test_scenario_copied_with_a_broken_state_raises(copier, fields):
+    scenario = _scenario()
+    for name, value in fields.items():
+        object.__setattr__(scenario, name, value)
+    with pytest.raises(DomainError) as exc:
+        copier(scenario)
+    assert str(exc.value) == _constructor_error(fields)
 
 
 def test_scenario_copies_and_replace_keep_the_overlaps():

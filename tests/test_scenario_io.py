@@ -216,6 +216,31 @@ def test_parse_error_location(bad, line, column, message):
     assert str(exc.value) == f"<string>:{line}:{column}: {message}"
 
 
+# Values convert on their own line, so of several errors the first malformed
+# line is the one reported, with its single-error message: each text errs on
+# line 1 and again later (a DomainError, no compartments, a duplicate key)
+_BAD_MODEL = (
+    "<string>:1:9: model must be one of: distinguishable, gibbs-corrected, "
+    "bose-approximate; got 'bogus'"
+)
+FIRST_ERRORS = {
+    "then-domain-error": ("model = bogus\ncompartment = a -5 1.0 1.0\n", _BAD_MODEL),
+    "then-no-compartments": (
+        "weighting = nope\n",
+        "<string>:1:13: weighting must be one of: complement, literal; got 'nope'",
+    ),
+    "then-duplicate-key": ("model = bogus\nmodel = exact\n", _BAD_MODEL),
+}
+
+
+@pytest.mark.parametrize("text, message", FIRST_ERRORS.values(), ids=FIRST_ERRORS)
+def test_first_malformed_line_is_reported(text, message):
+    with pytest.raises(ScenarioParseError) as exc:
+        parse_scenario(text)
+    assert exc.value.line == 1
+    assert str(exc.value) == message
+
+
 class TestDomainVsParse:
     def test_unphysical_values_are_domain_errors(self):
         # lexes fine, fails physics: different temperatures
