@@ -5,10 +5,12 @@ One flat function per kind of value.  Each rejects ``bool`` (an ``int``
 subclass that is never meant as a count or a quantity here) and reports
 a number beyond the float range as a DomainError, so no public call lets
 ``OverflowError`` escape.  The exact ``int``/``float`` case is tested
-first and returns without a further call: constructors run these once
-per field, ten thousand times for a wide level list.  :func:`fsum` is
-every float sum in the package; each caller says what a sum beyond the
-float range stands for.
+first and returns without a further call.  The value-object constructors
+(``LevelSpec``, ``GasCompartment``, ``SpeciesOverlap``), which run ten
+thousand times for a wide level list, accept an exact-type value in range
+inline and call these only for any other value, so every conversion and
+every message stays here.  :func:`fsum` is every float sum in the
+package; each caller says what a sum beyond the float range stands for.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Any, Iterable
 
 from . import _check
+from ._check import _FLOAT_OVERFLOW, _INF
 from .combinatorics import StirlingForm
 from .errors import DomainError
 from .statmech import CountingModel, EntropyResult, _entropy_result, _ideal_gas_S
@@ -56,10 +57,20 @@ class GasCompartment:
     T: float
 
     def __init__(self, species: str, N: int, V: float, T: float) -> None:
-        _set_species(self, _check.label("species", species))
-        _set_N(self, _check.count("N", N))
-        _set_V(self, _check.positive("V", V))
-        _set_T(self, _check.positive("T", T))
+        # an exact str, int or float in range is stored as it is; anything
+        # else goes through the _check call, which converts it or raises
+        if type(species) is not str or not species:
+            species = _check.label("species", species)
+        _set_species(self, species)
+        if type(N) is not int or not 1 <= N < _FLOAT_OVERFLOW:
+            N = _check.count("N", N)
+        _set_N(self, N)
+        if type(V) is not float or not 0.0 < V < _INF:
+            V = _check.positive("V", V)
+        _set_V(self, V)
+        if type(T) is not float or not 0.0 < T < _INF:
+            T = _check.positive("T", T)
+        _set_T(self, T)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -75,8 +86,11 @@ class SpeciesOverlap:
     overlap: float
 
     def __init__(self, species_a: str, species_b: str, overlap: float) -> None:
-        _check.label("species", species_a)
-        _check.label("species", species_b)
+        # exact-type values in range skip the _check call, as in GasCompartment
+        if type(species_a) is not str or not species_a:
+            _check.label("species", species_a)
+        if type(species_b) is not str or not species_b:
+            _check.label("species", species_b)
         if species_a == species_b:
             raise DomainError(
                 f"overlap of species {species_a!r} with itself is fixed at 1"
@@ -85,7 +99,9 @@ class SpeciesOverlap:
             species_a, species_b = species_b, species_a
         _set_species_a(self, species_a)
         _set_species_b(self, species_b)
-        _set_overlap(self, _check.overlap(overlap))
+        if type(overlap) is not float or not 0.0 <= overlap <= 1.0:
+            overlap = _check.overlap(overlap)
+        _set_overlap(self, overlap)
 
     @property
     def pair(self) -> frozenset[str]:
@@ -242,12 +258,22 @@ def overlap_weighted_mixing_entropy(
 
     COMPLEMENT: delta * (1 - q^2), which runs continuously from the full
     value at q = 0 to exactly 0 at q = 1.  LITERAL: delta * q^2.
+    delta_S_full must be a finite real.
     """
+    delta = _check.finite("delta_S_full", delta_S_full)
     q = _check.overlap(overlap)
     _check.member(Weighting, weighting)
+    return _weighted(delta, q, weighting)
+
+
+def _weighted(delta: float, q: float, weighting: Weighting) -> float:
+    """delta scaled by the overlap weighting, for checked q and weighting.
+
+    delta may be inf or NaN: mixing_entropy reports that on its own result.
+    """
     if weighting is Weighting.COMPLEMENT:
-        return delta_S_full * (1.0 - q * q)
-    return delta_S_full * (q * q)
+        return delta * (1.0 - q * q)
+    return delta * (q * q)
 
 
 def separation_work(delta_S: float, T: float) -> float:
@@ -325,9 +351,7 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     delta_inter = S_final_distinct - S_final_identical
     if model is CountingModel.DISTINGUISHABLE:  # it never notices species
         delta_inter = 0.0
-    delta_S = delta_identical + overlap_weighted_mixing_entropy(
-        delta_inter, q, scenario.weighting
-    )
+    delta_S = delta_identical + _weighted(delta_inter, q, scenario.weighting)
     # S_final is inf or NaN if any entropy in delta_S is: one check covers all
     final = _entropy_result(S_initial + delta_S, N_total, model, form)
     return MixingReport(

@@ -31,6 +31,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 from . import _check
+from ._check import _FLOAT_OVERFLOW, _INF
 from .combinatorics import StirlingForm
 from .errors import DomainError
 
@@ -69,13 +70,31 @@ class LevelSpec:
     degeneracy: int = 1
 
     def __init__(self, energy: float, degeneracy: int = 1) -> None:
-        _set_energy(self, _check.finite("level energy", energy))
-        _set_degeneracy(self, _check.count("degeneracy", degeneracy))
+        # an exact float or int in range is stored as it is; anything else
+        # goes through the _check call, which converts it or raises
+        if type(energy) is not float or not -_INF < energy < _INF:
+            energy = _check.finite("level energy", energy)
+        _set_energy(self, energy)
+        if type(degeneracy) is not int or not 1 <= degeneracy < _FLOAT_OVERFLOW:
+            degeneracy = _check.count("degeneracy", degeneracy)
+        _set_degeneracy(self, degeneracy)
 
 
 # frozen: each slot's own descriptor is the one way in, once per field
 _set_energy = LevelSpec.__dict__["energy"].__set__
 _set_degeneracy = LevelSpec.__dict__["degeneracy"].__set__
+
+
+def _level(item: object) -> LevelSpec:
+    """The LevelSpec for an (energy,) or (energy, degeneracy) item."""
+    # LevelSpec rejects values with DomainError, so a TypeError here means
+    # an item that is not iterable or has the wrong length
+    try:
+        return LevelSpec(*item)
+    except TypeError:
+        raise DomainError(
+            f"levels must be LevelSpec or (energy[, degeneracy]) tuples, got {item!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -88,8 +107,7 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         levels = tuple(
-            lv if isinstance(lv, LevelSpec) else LevelSpec(*lv)
-            for lv in self.levels
+            lv if isinstance(lv, LevelSpec) else _level(lv) for lv in self.levels
         )
         if not levels:
             raise DomainError("ensemble needs at least one level")
@@ -210,11 +228,13 @@ def entropy_from_levels(
     _check.member(CountingModel, model)
     _check.member(StirlingForm, stirling_form)
     n, degs = _occupations(ensemble)
-    log = math.log
+    # ln g once per distinct degeneracy: before Python 3.12 math.log is the
+    # dearest call per level, and wide ensembles repeat a few degeneracies
+    log_g = {g: math.log(g) for g in set(degs)}
     # n ln g - ln n! per level (empty levels add 0.0): the gibbs-corrected
     # entropy, which bose-approximate reaches from the multiset count
     lfs = stirling_form._log_factorials(n)
-    S = _check.fsum([x * log(g) - lf for x, g, lf in zip(n, degs, lfs)], math.nan)
+    S = _check.fsum([x * log_g[g] - lf for x, g, lf in zip(n, degs, lfs)], math.nan)
     if model is CountingModel.DISTINGUISHABLE:  # plus ln N!, inf past the float range
         S = stirling_form._log_factorials((float(ensemble.N),))[0] + S
     return _entropy_result(S, ensemble.N, model, stirling_form)

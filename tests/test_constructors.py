@@ -13,12 +13,16 @@ import copy
 import copyreg
 import dataclasses
 import io
+import math
 import pickle
 import tracemalloc
 import weakref
+from functools import partial
+from operator import attrgetter
 
 import pytest
 
+from mixent import _check
 from mixent.errors import DomainError
 from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap, mixing_entropy
 from mixent.statmech import EnsembleSpec, LevelSpec
@@ -298,3 +302,134 @@ def test_rejection_message(cls, args, message):
         cls(*args)
     assert str(exc.value) == message
 
+
+
+# The constructors accept an exact str, int or float in range inline and
+# hand every other value to the _check call for its field.  Each field must
+# store exactly what that call returns (value and type), or raise exactly
+# what it raises, for exact types, subclasses, bool and the range edges.
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+LIMIT = _check._FLOAT_OVERFLOW  # the least int that float() rejects
+GRID = [
+    0.0, -0.0, 0.5, 1.0, -2.5, math.nextafter(1.0, 2.0), 5e-324, -5e-324,
+    1.7976931348623157e308, INF, -INF, NAN,
+    _Float(0.5), _Float(-0.0), _Float(1.0), _Float(INF), _Float(NAN),
+    0, 1, 3, -1, LIMIT - 1, LIMIT, _Int(0), _Int(3), _Int(LIMIT - 1), _Int(LIMIT),
+    True, False,
+    "a", "", _Str("a"), _Str(""), "0.5", b"a", None, (1.0,),
+]
+try:
+    import numpy as np
+except ImportError:  # numpy is an optional extra
+    pass
+else:
+    GRID += [
+        np.float64(0.5), np.float64(-0.0), np.float64(NAN), np.float32(0.25),
+        np.int64(3), np.int64(0), np.uint8(1), np.str_("a"), np.str_(""),
+    ]
+
+PARTNER = "partner"  # the other species of a pair; no grid value equals it
+
+
+def _other_species(o: SpeciesOverlap) -> str:
+    return o.species_b if o.species_a == PARTNER else o.species_a
+
+
+# field -> (an instance with x in that field, the field's stored value,
+# the _check call the field makes for x)
+FIELDS = {
+    "LevelSpec.energy": (
+        lambda x: LevelSpec(x, 1),
+        attrgetter("energy"),
+        partial(_check.finite, "level energy"),
+    ),
+    "LevelSpec.degeneracy": (
+        lambda x: LevelSpec(0.0, x),
+        attrgetter("degeneracy"),
+        partial(_check.count, "degeneracy"),
+    ),
+    "GasCompartment.species": (
+        lambda x: GasCompartment(x, 1, 1.0, 1.0),
+        attrgetter("species"),
+        partial(_check.label, "species"),
+    ),
+    "GasCompartment.N": (
+        lambda x: GasCompartment("a", x, 1.0, 1.0),
+        attrgetter("N"),
+        partial(_check.count, "N"),
+    ),
+    "GasCompartment.V": (
+        lambda x: GasCompartment("a", 1, x, 1.0),
+        attrgetter("V"),
+        partial(_check.positive, "V"),
+    ),
+    "GasCompartment.T": (
+        lambda x: GasCompartment("a", 1, 1.0, x),
+        attrgetter("T"),
+        partial(_check.positive, "T"),
+    ),
+    "SpeciesOverlap.species_a": (
+        lambda x: SpeciesOverlap(x, PARTNER, 0.5),
+        _other_species,
+        partial(_check.label, "species"),
+    ),
+    "SpeciesOverlap.species_b": (
+        lambda x: SpeciesOverlap(PARTNER, x, 0.5),
+        _other_species,
+        partial(_check.label, "species"),
+    ),
+    "SpeciesOverlap.overlap": (
+        lambda x: SpeciesOverlap("a", "b", x),
+        attrgetter("overlap"),
+        _check.overlap,
+    ),
+}
+
+
+def _outcome(call, x):
+    """(type, repr) of what ``call(x)`` returns, or (type, text) of what it raises."""
+    try:
+        value = call(x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_field_stores_or_raises_what_its_check_gives(field):
+    build, stored, check = FIELDS[field]
+    for x in GRID:
+        got = _outcome(lambda v: stored(build(v)), x)
+        assert got == _outcome(check, x), f"{field} = {x!r}"
+
+
+# per constructor: one accepted and one rejected value for each field
+ORDER = {
+    LevelSpec: ((0.0, 1), (NAN, 0)),
+    GasCompartment: (("a", 1, 1.0, 1.0), ("", 0, -1.0, NAN)),
+    SpeciesOverlap: (("a", "b", 0.5), ("", None, 2.0)),
+}
+
+
+@pytest.mark.parametrize("cls", ORDER, ids=[cls.__name__ for cls in ORDER])
+def test_fields_are_checked_in_declaration_order(cls):
+    good, bad = ORDER[cls]
+    for k, f in enumerate(dataclasses.fields(cls)):
+        # fields before k accepted, k and after rejected: field k reports
+        _, _, check = FIELDS[f"{cls.__name__}.{f.name}"]
+        with pytest.raises(DomainError) as expected:
+            check(bad[k])
+        with pytest.raises(DomainError) as exc:
+            cls(*good[:k], *bad[k:])
+        assert str(exc.value) == str(expected.value)

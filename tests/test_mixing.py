@@ -383,6 +383,29 @@ class TestOverlapWeighting:
         with pytest.raises(DomainError):
             overlap_weighted_mixing_entropy(1.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            (math.inf, "delta_S_full must be finite, got inf"),
+            (-math.inf, "delta_S_full must be finite, got -inf"),
+            (math.nan, "delta_S_full must be finite, got nan"),
+            (True, "delta_S_full must be a real number, got True"),
+            ("a", "delta_S_full must be a real number, got 'a'"),
+            (None, "delta_S_full must be a real number, got None"),
+        ],
+        ids=["inf", "-inf", "nan", "True", "str", "None"],
+    )
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_full_entropy_must_be_finite_real(self, delta, message, weighting):
+        # inf at q = 1 used to give nan where the weighting promises 0
+        for q in (0.0, 1.0):
+            with pytest.raises(DomainError) as exc:
+                overlap_weighted_mixing_entropy(delta, q, weighting)
+            assert str(exc.value) == message
+
+    def test_full_entropy_int_is_read_as_float(self):
+        assert overlap_weighted_mixing_entropy(10, 0.5) == 7.5
+
 
 class TestSeparationWork:
     def test_zero_change_zero_work(self):

@@ -212,8 +212,10 @@ def reference_entropy(ensemble, model, form):
 
 
 class TestLevelKernelsBitIdentical:
-    """The per-form term expressions give exactly the per-level
-    ``log_factorial`` result, for every counting model and Stirling form."""
+    """The per-form term expressions, with ln g taken once per distinct
+    degeneracy, give exactly the per-level ``log_factorial`` and
+    ``math.log(g)`` result, for every counting model and Stirling form, on
+    repeated, all-distinct and 10**300 degeneracies."""
 
     @staticmethod
     def ensembles():
@@ -233,6 +235,23 @@ class TestLevelKernelsBitIdentical:
         # one occupied level among underflowed ones, and a single level
         out.append(EnsembleSpec(levels=((0.0, 2), (760.0, 3), (1e4, 1)), N=40, T=1.0))
         out.append(EnsembleSpec(levels=((5.0, 3),), N=7, T=0.5))
+        # every degeneracy distinct, and degeneracies near 10**300
+        distinct = rng.sample(range(1, 10**9), 1000)
+        out.append(
+            EnsembleSpec(
+                levels=tuple(LevelSpec(rng.uniform(0.0, 8.0), g) for g in distinct),
+                N=10**6,
+                T=1.5,
+            )
+        )
+        huge = (10**300, 10**300, 10**300 + 1, 3 * 10**300, 1, 2)
+        out.append(
+            EnsembleSpec(
+                levels=tuple(LevelSpec(0.5 * i, g) for i, g in enumerate(huge)),
+                N=10**5,
+                T=1.0,
+            )
+        )
         return out
 
     @pytest.mark.parametrize("form", list(StirlingForm))
@@ -480,6 +499,22 @@ class TestSpecValidation:
             EnsembleSpec(levels=TWO_LEVELS, N=0, T=1.0)
         with pytest.raises(DomainError):
             EnsembleSpec(levels=TWO_LEVELS, N=5, T=-1.0)
+
+    @pytest.mark.parametrize(
+        "item", [5.0, None, (), (1.0, 1, 2), [0.0, 1, 1]], ids=repr
+    )
+    def test_level_item_that_is_no_level_names_itself(self, item):
+        with pytest.raises(DomainError) as exc:
+            EnsembleSpec(levels=[(0.0, 1), item], N=1, T=1.0)
+        assert str(exc.value) == (
+            f"levels must be LevelSpec or (energy[, degeneracy]) tuples, got {item!r}"
+        )
+
+    def test_level_item_values_keep_their_messages(self):
+        with pytest.raises(DomainError, match="^degeneracy must be >= 1, got 0$"):
+            EnsembleSpec(levels=[(0.0, 0)], N=1, T=1.0)
+        with pytest.raises(DomainError, match="^level energy must be a real number"):
+            EnsembleSpec(levels=["ab"], N=1, T=1.0)
 
     def test_ints_beyond_float_range_rejected(self):
         # float(10**400) overflows; the validators say so as a DomainError
