@@ -111,6 +111,17 @@ def label(name: str, value: object) -> str:
     return value
 
 
+def items(name: str, value: object) -> tuple:
+    """The items of a container field (levels, compartments, overlaps)."""
+    if type(value) is tuple:
+        return value
+    try:
+        it = iter(value)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {value!r}") from None
+    return tuple(it)
+
+
 def fsum(xs: Iterable[float], beyond: float) -> float:
     """math.fsum (the same bits in any order), or ``beyond`` where it raises:
     OverflowError where finite terms overflow, ValueError on inf - inf."""

@@ -154,7 +154,7 @@ class MixingScenario:
     weighting: Weighting = Weighting.COMPLEMENT
 
     def __post_init__(self) -> None:
-        comps = tuple(self.compartments)
+        comps = _check.items("compartments", self.compartments)
         if not comps:
             raise DomainError("scenario needs at least one compartment")
         for c in comps:
@@ -180,7 +180,7 @@ class MixingScenario:
                 f"volumes {v_sum!r} (isothermal merge, no compression)"
             )
         object.__setattr__(self, "final_volume", v_fin)
-        overlaps = tuple(self.overlaps)
+        overlaps = _check.items("overlaps", self.overlaps)
         object.__setattr__(self, "overlaps", overlaps)
         # the one overlap table, (species_a, species_b) -> q; not a field,
         # so eq, hash and repr skip it
@@ -280,10 +280,17 @@ def separation_work(delta_S: float, T: float) -> float:
     """Minimum isothermal work T * delta_S to reverse an entropy change.
 
     Reduced units: with k_B = 1 the product of a temperature and an
-    entropy in nats is already an energy.
+    entropy in nats is already an energy.  A product beyond the float
+    range is a DomainError.
     """
     T = _check.positive("T", T)
-    return T * _check.finite("delta_S", delta_S)
+    delta_S = _check.finite("delta_S", delta_S)
+    work = T * delta_S
+    if not -_INF < work < _INF:
+        raise DomainError(
+            f"separation work overflows a float at T = {T:.6g}, delta_S = {delta_S:.6g}"
+        )
+    return work
 
 
 def _effective_overlap(scenario: MixingScenario) -> float:

@@ -19,8 +19,8 @@ entropy exactly extensive.
 
 The level arithmetic is plain ``math`` over Python lists: ensembles are a
 handful to ten thousand levels, where numpy's import costs more than it
-saves.  numpy is an optional extra, imported only inside
-:func:`occupations`, which returns an ndarray.
+saves.  numpy is not a dependency: :func:`occupations` returns a tuple of
+floats.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from . import _check
 from ._check import _FLOAT_OVERFLOW, _INF
 from .combinatorics import StirlingForm
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "CountingModel",
@@ -107,7 +104,8 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         levels = tuple(
-            lv if isinstance(lv, LevelSpec) else _level(lv) for lv in self.levels
+            lv if isinstance(lv, LevelSpec) else _level(lv)
+            for lv in _check.items("levels", self.levels)
         )
         if not levels:
             raise DomainError("ensemble needs at least one level")
@@ -173,22 +171,13 @@ def partition_function(levels: Iterable[LevelSpec], T: float) -> float:
         raise DomainError(f"Z = exp({log_Z:.6g}) overflows a float") from None
 
 
-def occupations(ensemble: EnsembleSpec) -> np.ndarray:
+def occupations(ensemble: EnsembleSpec) -> tuple[float, ...]:
     """Most-probable (Boltzmann) occupations n_i = N g_i e^{-e_i/T} / Z.
 
-    Real-valued ndarray, one entry per level, summing to N.  Computed from
-    max-shifted ratios so extreme e/T stay finite.  Needs numpy (the
-    ``numpy`` extra); without it this raises ImportError.
+    A tuple of floats, one entry per level, summing to N.  Computed from
+    max-shifted ratios so extreme e/T stay finite.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        raise ImportError(
-            "occupations() returns a numpy array and numpy is not installed; "
-            "install the extra: pip install 'mixent[numpy]'"
-        ) from None
-
-    return np.array(_occupations(ensemble)[0], dtype=float)
+    return tuple(_occupations(ensemble)[0])
 
 
 def internal_energy(ensemble: EnsembleSpec) -> float:
@@ -324,7 +313,15 @@ def helmholtz_free_energy(
     model: CountingModel,
     stirling_form: StirlingForm = StirlingForm.TWO_TERM,
 ) -> float:
-    """F = U - T S with S counted under the given model."""
+    """F = U - T S with S counted under the given model.
+
+    An F beyond the float range is a DomainError.
+    """
     U = internal_energy(ensemble)
     S = entropy_from_levels(ensemble, model, stirling_form).S
-    return U - ensemble.T * S
+    F = U - ensemble.T * S
+    if not -_INF < F < _INF:
+        raise DomainError(
+            f"free energy overflows a float at N = {ensemble.N:.6g}, T = {ensemble.T:.6g}"
+        )
+    return F

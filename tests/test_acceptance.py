@@ -13,8 +13,6 @@ import math
 import random
 from pathlib import Path
 
-import pytest
-
 import mixent.combinatorics
 from mixent.cli import main
 from mixent.combinatorics import (
@@ -193,7 +191,6 @@ def test_criterion_07_spin_field_toggle(capsys):
 def test_criterion_08_occupation_entropy_identity(capsys):
     """N ln N + sum n_i ln(g_i/n_i) == N ln Z + U/T within 1e-9 relative
     over 100 randomized ensembles."""
-    pytest.importorskip("numpy")  # occupations() returns an ndarray
     failures = []
     rng = random.Random(20260816)
     for trial in range(100):
@@ -232,7 +229,6 @@ def test_criterion_09_bose_limit_agreement(capsys):
     """Dilute ensembles (g_i/n_i >= 1e4): bose-approximate equals
     corrected counting within 1e-6 relative, and both track the exact
     bosonic count."""
-    pytest.importorskip("numpy")  # occupations() returns an ndarray
     failures = []
     rng = random.Random(271828)
     for trial in range(50):

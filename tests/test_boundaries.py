@@ -26,6 +26,7 @@ from mixent import (
     classical_symbol_states,
     entropy_from_levels,
     gibbs_shannon_entropy,
+    helmholtz_free_energy,
     ideal_gas_entropy,
     internal_energy,
     log_factorial_exact,
@@ -102,6 +103,13 @@ CONTRACT = [
     ("log-only-inf", lambda: Count.log_only(float("inf")),
      "ln of the count overflows a float"),
     # wrong types
+    ("ensemble-levels-scalar", lambda: EnsembleSpec(levels=5.0, N=1, T=1.0),
+     "levels must be iterable, got 5.0"),
+    ("scenario-compartments-scalar", lambda: MixingScenario(compartments=5),
+     "compartments must be iterable, got 5"),
+    ("scenario-overlaps-scalar",
+     lambda: MixingScenario(compartments=(GasCompartment("a", 1, 1.0, 1.0),), overlaps=3),
+     "overlaps must be iterable, got 3"),
     ("scenario-compartment-type",
      lambda: MixingScenario(compartments=(("a", 1, 1.0, 1.0),), final_volume=1.0),
      "compartments must be GasCompartment, got ('a', 1, 1.0, 1.0)"),
@@ -150,6 +158,21 @@ CONTRACT = [
          CountingModel.DISTINGUISHABLE,
      ),
      "entropy overflows a float at N = 1e+306 particles"),
+    ("separation-work-product", lambda: separation_work(1e10, 1e300),
+     "separation work overflows a float at T = 1e+300, delta_S = 1e+10"),
+    ("partition-change-work",
+     lambda: partition_change_entropy(10**10, 1.0, 1e300, 2, CountingModel.DISTINGUISHABLE),
+     "separation work overflows a float at T = 1e+300, delta_S = -6.93147e+09"),
+    ("mixing-entropy-work",
+     lambda: mixing_entropy(MixingScenario.from_compartments(
+         GasCompartment(s, 10**10, 1.0, 1e300) for s in "ab"
+     )),
+     "separation work overflows a float at T = 1e+300, delta_S = 1.38629e+10"),
+    ("free-energy",
+     lambda: helmholtz_free_energy(
+         EnsembleSpec(((0.0, 1), (1.0, 1)), N=10**300, T=1e10), GIBBS
+     ),
+     "free energy overflows a float at N = 1e+300, T = 1e+10"),
     ("gibbs-shannon-sum", lambda: gibbs_shannon_entropy([1e308, 1e308]),
      "probabilities sum to inf, not 1"),
     # scenario lines whose tokens convert but whose values break physics
@@ -234,6 +257,20 @@ def test_cli_partition_sum_overflow_is_one_error_line(capsys):
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
     assert err == "error: the partition sum overflows a float\n"
+
+
+def test_cli_separation_work_overflow_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "hot.scenario"
+    path.write_text(
+        "compartment = a 10000000000 1.0 1e300\n"
+        "compartment = b 10000000000 1.0 1e300\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["mix", "--scenario", str(path)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: separation work overflows a float at T = 1e+300, delta_S = 1.38629e+10\n"
+    )
 
 
 # The first three are ints, which the size-driven slots below leave out

@@ -142,16 +142,6 @@ def test_modules_probe_sees_fractions_once_used():
     assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
 
 
-def test_modules_probe_sees_numpy_once_used():
-    pytest.importorskip("numpy")
-    probe = MODULES_PROBE.replace(
-        "import mixent\n",
-        "import mixent\n"
-        "mixent.occupations(mixent.EnsembleSpec(levels=((0.0, 1),), N=1, T=1.0))\n",
-    )
-    assert _run_probe(probe, "numpy") == ["import numpy"]
-
-
 # every public name but __version__ -> the submodule that defines it
 HOME = {
     "DomainError": "errors",
@@ -255,21 +245,17 @@ def test_fresh_import_resolves_submodules_and_pickles():
 
 
 NO_NUMPY_PROBE = """
-import sys
+import math, sys
 sys.modules["numpy"] = None  # import numpy now fails as if not installed
 import mixent
-print(mixent.gibbs_shannon_entropy([0.25, 0.75]) > 0)
-ensemble = mixent.EnsembleSpec(levels=(mixent.LevelSpec(0.0, 1),), N=10, T=1.0)
-try:
-    mixent.occupations(ensemble)
-except ImportError as exc:
-    print(type(exc).__name__, exc)
+ensemble = mixent.EnsembleSpec(levels=((0.0, 1), (1.0, 2), (2.5, 3)), N=10, T=1.0)
+n = mixent.occupations(ensemble)
+print(type(n).__name__, len(n), abs(math.fsum(n) - 10) <= 1e-12 * 10)
+print(mixent.gibbs_shannon_entropy([0.5, 0.5]) == math.log(2))
 """
 
 
-def test_occupations_without_numpy_is_one_clear_import_error():
-    out = _run_probe(NO_NUMPY_PROBE)
-    assert out[0] == "True"
-    assert out[1].startswith("ImportError occupations() returns a numpy array")
-    assert "mixent[numpy]" in out[1]
-    assert len(out) == 2
+def test_package_works_without_numpy():
+    # with numpy blocked, occupations() is a tuple summing to N and
+    # gibbs_shannon_entropy, which also reads ndarrays, reads a list
+    assert _run_probe(NO_NUMPY_PROBE) == ["tuple 3 True", "True"]
