@@ -51,6 +51,11 @@ MAX_EXACT_LIMIT = 20000
 _NEG_INF = float("-inf")
 _INF = float("inf")
 _TWO_PI = 2.0 * math.pi
+# EXACT adds it to (1/2) ln x, where 2 pi x would overflow above 2.9e307
+_HALF_LN_2PI = 0.5 * math.log(_TWO_PI)
+# Loader's stirlerr series above 15: ln x! - (x + 1/2) ln x + x - (1/2) ln 2 pi
+# = (S0 - S1/x^2 + S2/x^4 - S3/x^6 + S4/x^8) / x, with a next term below 3e-16
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
 
 def _check_exact_limit(exact_limit: int) -> int:
@@ -140,11 +145,14 @@ def _as_cells(
 class StirlingForm(Enum):
     """Which approximation of ln N! an entropy formula is built on.
 
+    A form is its remainder r(x) = ln x! - (x ln x - x): 0 for TWO_TERM,
+    (1/2) ln(2 pi x) for THREE_TERM, and the exact remainder for EXACT.
     TWO_TERM is the thermodynamic workhorse: it makes the corrected-count
     entropy exactly extensive, so "no entropy change" statements come out
-    as an exact zero instead of a small residual.  THREE_TERM adds the
-    (1/2) ln(2 pi N) correction; EXACT uses the log-gamma function and
-    exposes the finite-size residuals the two-term form suppresses.
+    as an exact zero instead of a small residual.  EXACT uses the
+    log-gamma function and exposes the finite-size residuals the two-term
+    form suppresses.  Entropy changes are built on the remainders, so no
+    change subtracts two entropies of order N ln N.
     """
 
     TWO_TERM = "two-term"
@@ -191,6 +199,45 @@ class StirlingForm(Enum):
                 return [_INF]
             return [self._log_factorials((x,))[0] for x in xs]
 
+    def _remainders(self, xs: Sequence[float]) -> list[float]:
+        """r(x) = ln x! - (x ln x - x) under this form, for a column of
+        finite floats x >= 0; 0 at x == 0 under every form.
+
+        EXACT takes lgamma's remainder up to x = 15 and Loader's stirlerr
+        series plus (1/2) ln(2 pi x) above (C. Loader, "Fast and Accurate
+        Computation of Binomial Probabilities", 2000), so no term of order
+        x ln x is formed.  Callers check the column; nothing here does.
+        """
+        if self is StirlingForm.TWO_TERM:
+            return [0.0] * len(xs)
+        log = math.log
+        if self is StirlingForm.THREE_TERM:  # as in _log_factorials
+            return [0.5 * log(_TWO_PI * x) if x else 0.0 for x in xs]
+        lgamma = math.lgamma
+        return [
+            (_S0 - (u := 1.0 / (x * x)) * (_S1 - u * (_S2 - u * (_S3 - u * _S4)))) / x
+            + (_HALF_LN_2PI + 0.5 * log(x))
+            if x > 15.0
+            else (lgamma(x + 1.0) - (x * log(x) - x) if x else 0.0)
+            for x in xs
+        ]
+
+
+def _log_multinomial(ns: Sequence[int], form: StirlingForm) -> float:
+    """ln(N! / prod n_i!) under ``form`` for integers n_i >= 0, 0 < N = sum(ns)
+    within the float range.
+
+    sum n_i ln(N / n_i) + r(N) - sum r(n_i), with r the form's remainder,
+    so no two terms of order N ln N are subtracted.  A count above N/2
+    takes its term as -n_i log1p(-(N - n_i) / N), with N - n_i exact in
+    integers.  One fsum: the order of ns changes no bit.
+    """
+    N = sum(ns)
+    log, log1p = math.log, math.log1p
+    r_N, *rs = form._remainders([float(n) for n in (N, *ns)])
+    terms = [-n * log1p((n - N) / N) if n + n > N else n * log(N / n) for n in ns if n]
+    return _check.fsum(terms + [r_N] + [-r for r in rs], _INF)
+
 
 def log_factorial_exact(n: int | float) -> float:
     """ln n! to full double precision: ``StirlingForm.EXACT.log_factorial``.
@@ -220,9 +267,9 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
     The one multinomial of the module: binomial and multiset counts are
     it over two cells of one substate each.  Exact for N <= limit, as a
     chain of binomials comb(n_1 + ... + n_i, n_i) * g_i^n_i that never
-    divides.  Beyond it log-only: the fsum of ln N! and the per-cell
-    terms n_i ln g_i - ln n_i!, rounded once and so the same bits on every
-    interpreter (``sum`` compensates from Python 3.12 on).
+    divides.  Beyond it log-only: the fsum of the per-cell n_i ln g_i and
+    ``_log_multinomial`` under EXACT, so the same bits on every interpreter
+    (``sum`` compensates from Python 3.12 on).
     """
     N = sum(ns)
     if N <= limit:
@@ -232,13 +279,10 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
             prefix += n_i
             value *= math.comb(prefix, n_i) * g_i**n_i
         return Count.from_int(value)
-    # checked first: N may leave the float range although every n_i fits,
-    # and no n_i! overflows once N! does not
-    terms = [log_factorial_exact(N)]
-    terms += [
-        n_i * math.log(g_i) - lf
-        for n_i, g_i, lf in zip(ns, degs, StirlingForm.EXACT._log_factorials(ns))
-    ]
+    # N may leave the float range although every n_i fits
+    _check.count("n", N, 0)
+    terms = [n_i * math.log(g_i) for n_i, g_i in zip(ns, degs)]
+    terms.append(_log_multinomial(ns, StirlingForm.EXACT))
     return Count.log_only(_check.fsum(terms, _INF))
 
 

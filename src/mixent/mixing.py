@@ -27,7 +27,7 @@ from typing import Any, Iterable
 
 from . import _check
 from ._check import _FLOAT_OVERFLOW, _INF
-from .combinatorics import StirlingForm
+from .combinatorics import StirlingForm, _log_multinomial
 from .errors import DomainError
 from .statmech import CountingModel, EntropyResult, _entropy_result, _ideal_gas_S
 
@@ -315,20 +315,28 @@ def _effective_overlap(scenario: MixingScenario) -> float:
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     """Entropy change when a scenario's compartments merge into one volume.
 
-    The change is split into two physically distinct pieces:
+    The change is split into two physically distinct pieces, each formed
+    directly, not as a difference of entropies of order N ln N:
 
       * density equilibration: what the merge would gain even if every
-        compartment held the same species (a relative-entropy term,
-        nonnegative, zero when densities are matched);
-      * inter-species mixing: the extra gain from the species being
-        distinct, i.e. the difference between merging as separate species
-        and merging as one.
+        compartment held the same species.  Under the corrected models it
+        is max(sum n_c ln(rho_c / rho), 0) + sum r(n_c) - r(N), with
+        rho_c = n_c / V_c, rho = N / final_volume and r the Stirling
+        form's remainder.  The first sum is N times a relative entropy,
+        and the clamp reads a rounding below 0 as 0, so the term is never
+        negative, and exactly 0 under the two-term form wherever each
+        rho_c == rho in floating point.  Distinguishable counting gains
+        sum n_c ln(final_volume / V_c);
+      * inter-species mixing: ln(N! / prod N_s!) under the form over the
+        per-species totals N_s, sum N_s ln(N / N_s) under the two-term form.
 
     The overlap weighting applies only to the second piece.  Under
     distinguishable counting the second piece vanishes identically (that
     counting never notices species), which is the paradox: it also never
     pays the price on the first piece, making its total non-extensive.
-    A summed entropy beyond the float range is a DomainError.
+    S_initial is all N as one species in the final volume, less the
+    unclamped first piece.  A density or an entropy beyond the float range
+    is a DomainError.
     """
     T = scenario.temperature
     model = scenario.model
@@ -343,24 +351,31 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         Vs.append(c.V)
         per_species[c.species] = per_species.get(c.species, 0) + n
     N_total = sum(per_species.values())
+    V_final = scenario.final_volume
 
-    S_initial = _check.fsum(_ideal_gas_S(ns, Vs, T, model, form, 0.0), math.nan)
-    # each species alone in the final volume, then all N as one species
-    ns_final = [float(n) for n in per_species.values()] + [float(N_total)]
-    *S_species, S_final_identical = _ideal_gas_S(
-        ns_final, [scenario.final_volume] * len(ns_final), T, model, form, 0.0
-    )
-    S_final_distinct = _check.fsum(S_species, math.nan)
-    initial = _entropy_result(S_initial, N_total, model, form)
+    log = math.log
+    if model is CountingModel.DISTINGUISHABLE:  # it never notices species
+        gain = _check.fsum([n * log(V_final / V) for n, V in zip(ns, Vs)], math.nan)
+        delta_density, delta_inter = gain, 0.0
+    else:
+        rho = N_total / V_final
+        rhos = [n / V for n, V in zip(ns, Vs)]
+        if rho == _INF or _INF in rhos:
+            raise DomainError(f"a density n / V overflows a float at N = {N_total:.6g}")
+        kl = _check.fsum([n * log(r / rho) for n, r in zip(ns, rhos)], math.nan)
+        r_N, *rs = form._remainders([float(N_total), *ns])
+        excess = _check.fsum([*rs, -r_N], math.nan)
+        gain = kl + excess
+        # the clamp; NaN fails the comparison and is kept for the result checks
+        delta_density = (0.0 if kl <= 0.0 else kl) + excess
+        delta_inter = _log_multinomial(list(per_species.values()), form)
+    S_merged = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
+    initial = _entropy_result(S_merged - gain, N_total, model, form)
 
     q = _effective_overlap(scenario)
-    delta_identical = S_final_identical - S_initial
-    delta_inter = S_final_distinct - S_final_identical
-    if model is CountingModel.DISTINGUISHABLE:  # it never notices species
-        delta_inter = 0.0
-    delta_S = delta_identical + _weighted(delta_inter, q, scenario.weighting)
-    # S_final is inf or NaN if any entropy in delta_S is: one check covers all
-    final = _entropy_result(S_initial + delta_S, N_total, model, form)
+    delta_S = delta_density + _weighted(delta_inter, q, scenario.weighting)
+    # S_final is inf or NaN if delta_S is: one check covers both
+    final = _entropy_result(initial.S + delta_S, N_total, model, form)
     return MixingReport(
         S_initial=initial,
         S_final=final,
@@ -380,11 +395,14 @@ def partition_change_entropy(
 ) -> MixingReport:
     """Entropy effect of slicing one gas of N particles into equal parts.
 
-    Under the Stirling forms the report is oriented as an insertion:
-    S_initial is the undivided gas, S_final the partitioned one.
-    Distinguishable counting then loses N ln(parts) (the paradox: walls
-    should not change the entropy); the corrected count under the
-    two-term form gains or loses exactly nothing.
+    Removing the walls gains N ln(parts) under distinguishable counting
+    and parts * r(N / parts) - r(N), with r the Stirling form's remainder,
+    under the corrected models; the partitioned S is the joined S less
+    that.  The report is oriented as an insertion: S_initial is the
+    undivided gas, S_final the partitioned one.  Distinguishable counting
+    then loses N ln(parts) (the paradox: walls should not change the
+    entropy); the corrected count under the two-term form gains or loses
+    exactly nothing.
 
     Under the EXACT form the corrected count leaves a small positive
     finite-size residual, and the report flips to the removal
@@ -411,18 +429,21 @@ def partition_change_entropy(
         raise DomainError(
             f"exact-form partition residual needs parts | N, got N={N}, parts={parts}"
         )
-
-    V_part = V / parts
-    if V_part == 0.0:
+    if V / parts == 0.0:
         raise DomainError(f"V / parts underflows to 0 at V = {V!r}, parts = {parts}")
-    S_joined, S_part = _ideal_gas_S(
-        [float(N), N / parts], [V, V_part], T, model, stirling_form, 0.0
-    )
-    joined = _entropy_result(S_joined, N, model, stirling_form)
-    parted = _entropy_result(parts * S_part, N, model, stirling_form)
 
-    initial, final = (parted, joined) if exact_corrected else (joined, parted)
-    delta_S = final.S - initial.S
+    if model is CountingModel.DISTINGUISHABLE:
+        removal = N * math.log(parts)
+    else:
+        r_part, r_joined = stirling_form._remainders((N / parts, float(N)))
+        removal = parts * r_part - r_joined
+    S_joined = _ideal_gas_S(float(N), V, T, model, stirling_form, 0.0)
+    joined = _entropy_result(S_joined, N, model, stirling_form)
+    parted = _entropy_result(S_joined - removal, N, model, stirling_form)
+    if exact_corrected:
+        initial, final, delta_S = parted, joined, removal
+    else:  # 0.0 - 0.0 is +0.0 where -removal would be -0.0
+        initial, final, delta_S = joined, parted, 0.0 - removal
     return MixingReport(
         S_initial=initial,
         S_final=final,

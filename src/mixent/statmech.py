@@ -155,11 +155,15 @@ def log_partition_function(levels: Iterable[LevelSpec], T: float) -> float:
     """ln Z for a single particle over the given levels.
 
     Shifts by the minimum energy before exponentiating, so deep levels at
-    tiny T do not underflow everything to zero.
+    tiny T do not underflow everything to zero.  An ln Z beyond the float
+    range is a DomainError.
     """
     ensemble = EnsembleSpec(levels=levels, N=1, T=T)  # one particle; checks T
     shift, _, Z = _weights(ensemble.levels, ensemble.T)
-    return -shift / ensemble.T + math.log(Z)
+    log_Z = -shift / ensemble.T + math.log(Z)
+    if not -_INF < log_Z < _INF:
+        raise DomainError(f"ln Z overflows a float at T = {ensemble.T:.6g}")
+    return log_Z
 
 
 def partition_function(levels: Iterable[LevelSpec], T: float) -> float:
@@ -230,29 +234,23 @@ def entropy_from_levels(
 
 
 def _ideal_gas_S(
-    ns: list[float],
-    Vs: list[float],
+    n: float,
+    V: float,
     T: float,
     model: CountingModel,
     stirling_form: StirlingForm,
     constant: float,
-) -> list[float]:
-    """Ideal-gas entropies over columns of particle numbers n and volumes V.
+) -> float:
+    """Ideal-gas entropy S = n ln V + (3/2) n ln T + C of n particles in V,
+    minus ln n! under the chosen form for the corrected models.
 
-    S = n ln V + (3/2) n ln T + C, minus ln n! under the chosen form for
-    the corrected models.  n may be non-integer: the mixing code slices
-    gases into real-valued parts.  Where ln n! leaves the float range, S
-    is -inf or NaN, which the callers' result checks reject.
+    Where ln n! leaves the float range, S is -inf or NaN, which the
+    callers' result checks reject.
     """
+    S = n * math.log(V) + 1.5 * n * math.log(T) + constant
     if model is CountingModel.DISTINGUISHABLE:
-        lfs = [0.0] * len(ns)  # x - 0.0 is x, -0.0 and inf included
-    else:
-        lfs = stirling_form._log_factorials(ns)
-    log = math.log
-    log_T = log(T)
-    return [
-        n * log(V) + 1.5 * n * log_T + constant - lf for n, V, lf in zip(ns, Vs, lfs)
-    ]
+        return S
+    return S - stirling_form._log_factorials((n,))[0]
 
 
 def ideal_gas_entropy(
@@ -278,7 +276,7 @@ def ideal_gas_entropy(
     V = _check.positive("V", V)
     T = _check.positive("T", T)
     constant = _check.finite("constant", constant)
-    (S,) = _ideal_gas_S([float(N)], [V], T, model, stirling_form, constant)
+    S = _ideal_gas_S(float(N), V, T, model, stirling_form, constant)
     return _entropy_result(S, N, model, stirling_form)
 
 

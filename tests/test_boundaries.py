@@ -135,6 +135,15 @@ CONTRACT = [
      "the partition sum overflows a float"),
     ("partition-function", lambda: partition_function(((-1000.0, 1),), 1.0),
      "Z = exp(1000) overflows a float"),
+    ("log-partition-shift",
+     lambda: log_partition_function(((-1e300, 1),), 1e-300),
+     "ln Z overflows a float at T = 1e-300"),
+    ("partition-function-shift",
+     lambda: partition_function(((-1e300, 1),), 1e-300),
+     "ln Z overflows a float at T = 1e-300"),
+    ("log-partition-shift-negative",
+     lambda: log_partition_function(((1e300, 1),), 1e-300),
+     "ln Z overflows a float at T = 1e-300"),
     ("internal-energy",
      lambda: internal_energy(
          EnsembleSpec(levels=((1.9, 1), (1.9, 1)), N=17 * 10**307, T=1.0)
@@ -163,6 +172,16 @@ CONTRACT = [
     ("partition-change-work",
      lambda: partition_change_entropy(10**10, 1.0, 1e300, 2, CountingModel.DISTINGUISHABLE),
      "separation work overflows a float at T = 1e+300, delta_S = -6.93147e+09"),
+    ("mixing-entropy-density",
+     lambda: mixing_entropy(MixingScenario.from_compartments(
+         GasCompartment(s, 10**300, 1e-10, 1.0) for s in "ab"
+     )),
+     "a density n / V overflows a float at N = 2e+300"),
+    ("mixing-entropy-compartment-density",
+     lambda: mixing_entropy(MixingScenario.from_compartments(
+         (GasCompartment("a", 10**10, 1e-300, 1.0), GasCompartment("b", 1, 1e10, 1.0))
+     )),
+     "a density n / V overflows a float at N = 1e+10"),
     ("mixing-entropy-work",
      lambda: mixing_entropy(MixingScenario.from_compartments(
          GasCompartment(s, 10**10, 1.0, 1e300) for s in "ab"

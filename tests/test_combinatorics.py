@@ -15,6 +15,7 @@ from mixent.combinatorics import (
     Count,
     OccupationVector,
     StirlingForm,
+    _log_multinomial,
     binomial,
     classical_symbol_states,
     log_factorial_exact,
@@ -372,21 +373,30 @@ class TestGibbsIntegralityBoundary:
 
 
 class TestLogOnlyCounts:
-    """Above the exact limit every count is ln N! plus per-cell terms
-    n ln g - ln n!, added by one fsum."""
+    """Above the exact limit every count is the fsum of the per-cell terms
+    n ln g and the log-multinomial under EXACT, itself one fsum of the
+    terms n ln(N/n) (-n log1p(-(N - n)/N) above N/2), r(N) and -r(n)."""
 
     def test_terms_are_added_by_fsum(self):
-        occ, degs = (1, 1, 2), (2, 3, 1)  # 4! * 2 * 3 / 2! = 72
-        terms = [log_factorial_exact(4)]
-        terms += [n * math.log(g) - log_factorial_exact(n) for n, g in zip(occ, degs)]
-        left_to_right = 0.0
-        for term in terms:
-            left_to_right += term
-        fsum = math.fsum(terms)
-        assert left_to_right != fsum  # the case tells the two sums apart
+        occ, degs = (1, 4, 6), (2, 3, 1)  # 11! / (1! 4! 6!) * 2 * 3**4 = 374220
+        N = sum(occ)
+        r_N, *rs = StirlingForm.EXACT._remainders([float(n) for n in (N, *occ)])
+        terms = [
+            -n * math.log1p((n - N) / N) if 2 * n > N else n * math.log(N / n)
+            for n in occ
+        ]
+        terms += [r_N] + [-r for r in rs]
+        cells = [n * math.log(g) for n, g in zip(occ, degs)]
+        cells.append(math.fsum(terms))
+        for column in (terms, cells):
+            left_to_right = 0.0
+            for term in column:
+                left_to_right += term
+            assert left_to_right != math.fsum(column)  # the case tells them apart
+        assert _log_multinomial(occ, StirlingForm.EXACT) == math.fsum(terms)
         count = multiplicity_distinguishable(occ, degs, exact_limit=0)
-        assert count.log_value == fsum
-        assert multiplicity_distinguishable(occ, degs).value == 72
+        assert count.log_value == math.fsum(cells)
+        assert multiplicity_distinguishable(occ, degs).value == 374220
 
     @pytest.mark.parametrize("exact_limit", [0, DEFAULT_EXACT_LIMIT])
     def test_binomial_and_bose_are_unit_cell_multinomials(self, exact_limit):

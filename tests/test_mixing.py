@@ -5,10 +5,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-import mixent.mixing
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError
 from mixent.mixing import (
@@ -22,9 +22,12 @@ from mixent.mixing import (
     separation_work,
     spin_field_scenario,
 )
+from mixent.scenario_io import load_scenario
 from mixent.statmech import CountingModel
 
 LN2 = math.log(2)
+ROOT = Path(__file__).resolve().parent.parent
+CORRECTED = (CountingModel.GIBBS_CORRECTED, CountingModel.BOSE_APPROXIMATE)
 
 
 def two_gas_scenario(
@@ -167,22 +170,38 @@ class TestMixingEntropy:
         assert r.overlap_applied == 1.0
         assert r.separation_work == 0.0
 
+    def test_exact_zeros_are_positive_zeros(self):
+        # matched densities at any N: +0.0, never -0.0 or a rounding residue
+        scenarios = [
+            spin_field_scenario(10**12, 1.0, 1.0, field_on=False),
+            MixingScenario.from_compartments([GasCompartment("a", 73, 1.0, 1.0)] * 3),
+            load_scenario(ROOT / "scenarios" / "same_species.scenario").scenario,
+        ]
+        zeros = [mixing_entropy(s).delta_S for s in scenarios]
+        for N in (2, 1000, 10**16, 10**18):
+            for model in CORRECTED:
+                zeros.append(partition_change_entropy(N, 1.0, 1.0, 2, model).delta_S)
+        assert zeros == [0.0] * len(zeros)
+        assert all(math.copysign(1.0, z) == 1.0 for z in zeros)
+
     def test_entropies_add_in_any_order(self, monkeypatch):
-        # a column that cancels: 1e16 + 1.0 rounds back to 1e16, so adding
-        # left to right gives 0.0 or 1.0 depending on the order; the
-        # correctly rounded sum is 1.0 in every order and on every interpreter
+        # a remainder column that cancels: 1e16 + 1.0 rounds back to 1e16,
+        # so adding left to right gives 0.0 or 1.0 depending on the order;
+        # the correctly rounded sum is 1.0 in every order and on every
+        # interpreter.  Matched densities leave only that sum in the
+        # density term, and three species of 10 add 30 ln 3 less it.
         scenario = MixingScenario.from_compartments(
             GasCompartment(s, 10, 1.0, 1.0) for s in ("a", "b", "c")
         )
+        inter = math.fsum([10 * math.log(3.0)] * 3 + [-1.0])
         for terms in itertools.permutations((1e16, 1.0, -1e16)):
 
-            def column(ns, Vs, T, model, form, constant, terms=terms):
-                return list(terms) + [0.0] * (len(ns) - 3)
+            def remainders(self, xs, terms=terms):
+                return [0.0, *terms]  # r(N), then one per compartment or species
 
-            monkeypatch.setattr(mixent.mixing, "_ideal_gas_S", column)
+            monkeypatch.setattr(StirlingForm, "_remainders", remainders)
             r = mixing_entropy(scenario)
-            assert r.S_initial.S == 1.0, terms  # the three compartments
-            assert r.delta_S == 0.0, terms  # three species against all N as one
+            assert r.delta_S == 1.0 + inter, terms
 
     def test_density_mismatch_gains_entropy_even_for_same_species(self):
         a = GasCompartment("argon", 900, 0.5, 1.0)

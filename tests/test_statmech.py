@@ -325,6 +325,53 @@ class TestOneLogFactorial:
         assert len(calls) == 3 * (1 + 3 + 2 * 3)
 
 
+class TestOneRemainder:
+    """Every entropy difference and log-only count goes through
+    StirlingForm._remainders: with it patched to raise, each one raises."""
+
+    @staticmethod
+    def calls():
+        from mixent.combinatorics import (
+            binomial,
+            multiplicity_bose_exact,
+            multiplicity_distinguishable,
+            multiplicity_gibbs_corrected,
+        )
+        from mixent.mixing import (
+            GasCompartment,
+            MixingScenario,
+            mixing_entropy,
+            partition_change_entropy,
+        )
+
+        gas = (GasCompartment("a", 3, 1.0, 1.0), GasCompartment("b", 5, 2.0, 1.0))
+        corrected = (CountingModel.GIBBS_CORRECTED, CountingModel.BOSE_APPROXIMATE)
+        for form in StirlingForm:
+            for model in corrected:
+                yield partial(partition_change_entropy, 10, 1.0, 1.0, 2, model, form)
+                scenario = MixingScenario.from_compartments(
+                    gas, model=model, stirling_form=form
+                )
+                yield partial(mixing_entropy, scenario)
+        yield partial(binomial, 10, 3, exact_limit=0)
+        yield partial(multiplicity_bose_exact, 4, 3, exact_limit=0)
+        yield partial(multiplicity_distinguishable, (1, 2), (2, 1), exact_limit=0)
+        yield partial(multiplicity_gibbs_corrected, (1, 2), (2, 1), exact_limit=0)
+
+    def test_patched_column_method_is_reached(self, monkeypatch):
+        def boom(self, xs):
+            raise _Sentinel
+
+        calls = list(self.calls())
+        for call in calls:
+            call()  # unpatched, every call succeeds
+        monkeypatch.setattr(StirlingForm, "_remainders", boom)
+        for call in calls:
+            with pytest.raises(_Sentinel):
+                call()
+        assert len(calls) == 3 * 2 * 2 + 4
+
+
 class TestIdealGasEntropy:
     def test_volume_doubling_distinguishable(self):
         s1 = ideal_gas_entropy(1000, 1.0, 1.0, CountingModel.DISTINGUISHABLE).S
