@@ -9,8 +9,10 @@ first and returns without a further call.  The value-object constructors
 (``LevelSpec``, ``GasCompartment``, ``SpeciesOverlap``), which run ten
 thousand times for a wide level list, accept an exact-type value in range
 inline and call these only for any other value, so every conversion and
-every message stays here.  :func:`fsum` is every float sum in the
-package; each caller says what a sum beyond the float range stands for.
+every message stays here; :func:`occupations` and :func:`degeneracies`
+do the same for each cell of a counting call.  :func:`fsum` is every
+float sum in the package; each caller says what a sum beyond the float
+range stands for.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def _index(name: str, value: object) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _real(name: str, value: object) -> float:
+def real(name: str, value: object) -> float:
+    """A real number as a float; inf and NaN pass, as the caller decides."""
     # float() would parse text, so strings are imposters here as bool is
     if isinstance(value, (bool, str, bytes, bytearray)):
         raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -82,7 +85,7 @@ def count(name: str, value: object, minimum: int = 1) -> int:
 
 def finite(name: str, value: object) -> float:
     """A finite real, as a float."""
-    x = value if type(value) is float else _real(name, value)
+    x = value if type(value) is float else real(name, value)
     if not -_INF < x < _INF:  # NaN fails the comparison too
         raise DomainError(f"{name} must be finite, got {value!r}")
     return x
@@ -90,7 +93,7 @@ def finite(name: str, value: object) -> float:
 
 def positive(name: str, value: object) -> float:
     """A finite real > 0, as a float."""
-    x = value if type(value) is float else _real(name, value)
+    x = value if type(value) is float else real(name, value)
     if not 0.0 < x < _INF:  # NaN fails the comparison too
         raise DomainError(f"{name} must be finite and > 0, got {x!r}")
     return x
@@ -98,7 +101,7 @@ def positive(name: str, value: object) -> float:
 
 def overlap(value: object) -> float:
     """A state overlap |<a|b>|^2 in [0, 1], as a float."""
-    q = value if type(value) is float else _real("overlap", value)
+    q = value if type(value) is float else real("overlap", value)
     if not 0.0 <= q <= 1.0:  # NaN fails the comparison too
         raise DomainError(f"overlap must lie in [0, 1], got {value!r}")
     return q
@@ -120,6 +123,24 @@ def items(name: str, value: object) -> tuple:
     except TypeError:
         raise DomainError(f"{name} must be iterable, got {value!r}") from None
     return tuple(it)
+
+
+def occupations(values: object) -> tuple[int, ...]:
+    """Occupation numbers: one :func:`count` >= 0 per item of values."""
+    ns = items("occupation numbers", values)
+    for n in ns:
+        if type(n) is not int or not 0 <= n < _FLOAT_OVERFLOW:
+            return tuple([count("occupation number", n, 0) for n in ns])
+    return ns
+
+
+def degeneracies(values: object) -> tuple[int, ...]:
+    """Cell degeneracies: one :func:`integer` >= 1 per item of values."""
+    gs = items("degeneracies", values)
+    for g in gs:
+        if type(g) is not int or g < 1:
+            return tuple([integer("degeneracy", g, 1) for g in gs])
+    return gs
 
 
 def fsum(xs: Iterable[float], beyond: float) -> float:

@@ -59,6 +59,8 @@ _S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
 
 def _check_exact_limit(exact_limit: int) -> int:
+    if type(exact_limit) is int and 0 <= exact_limit <= MAX_EXACT_LIMIT:
+        return exact_limit
     limit = _check.integer("exact_limit", exact_limit)
     if limit > MAX_EXACT_LIMIT:
         raise DomainError(
@@ -83,18 +85,24 @@ class Count:
 
     @classmethod
     def from_int(cls, value: int) -> "Count":
-        value = _check.integer("count", value)
+        return cls._exact(_check.integer("count", value))
+
+    @classmethod
+    def _exact(cls, value: int) -> "Count":
+        """The count of an int >= 0 that the caller has checked or computed."""
         # math.log takes big ints directly; no float conversion overflow.
-        log_value = _NEG_INF if value == 0 else math.log(value)
-        return cls(log_value=log_value, value=value)
+        return cls(log_value=_NEG_INF if value == 0 else math.log(value), value=value)
 
     @classmethod
     def log_only(cls, log_value: float) -> "Count":
-        if math.isnan(log_value):
+        x = log_value
+        if type(x) is not float:
+            x = _check.real("log_value", x)
+        if math.isnan(x):
             raise DomainError("log_value must not be NaN")
-        if log_value == _INF:  # -inf stays: it is the zero count
+        if x == _INF:  # -inf stays: it is the zero count
             raise DomainError("ln of the count overflows a float")
-        return cls(log_value=float(log_value), value=None)
+        return cls(log_value=x, value=None)
 
     @property
     def is_log_only(self) -> bool:
@@ -108,12 +116,14 @@ class OccupationVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(
-            _check.count("occupation number", c, 0) for c in self.counts
-        )
-        object.__setattr__(self, "counts", coerced)
-        if not coerced:
-            raise DomainError("occupation vector needs at least one cell")
+        object.__setattr__(self, "counts", _occupations(self.counts))
+
+    @classmethod
+    def _exact(cls, counts: tuple[int, ...]) -> "OccupationVector":
+        """The vector of a nonempty tuple of ints >= 0 that the caller computed."""
+        occ = object.__new__(cls)
+        object.__setattr__(occ, "counts", counts)
+        return occ
 
     @property
     def total(self) -> int:
@@ -127,19 +137,26 @@ class OccupationVector:
         return iter(self.counts)
 
 
+def _occupations(values: object) -> tuple[int, ...]:
+    """Checked occupation numbers, at least one."""
+    ns = _check.occupations(values)
+    if not ns:
+        raise DomainError("occupation vector needs at least one cell")
+    return ns
+
+
 def _as_cells(
     occ: OccupationVector | Iterable[int], degeneracies: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Checked occupation numbers and cell degeneracies, one per cell."""
-    if not isinstance(occ, OccupationVector):
-        occ = OccupationVector(tuple(occ))
-    degs = tuple(_check.integer("degeneracy", g, 1) for g in degeneracies)
-    if len(degs) != len(occ):
+    ns = occ.counts if isinstance(occ, OccupationVector) else _occupations(occ)
+    degs = _check.degeneracies(degeneracies)
+    if len(degs) != len(ns):
         raise DomainError(
-            f"occupation/degeneracy length mismatch: {len(occ)} cells "
+            f"occupation/degeneracy length mismatch: {len(ns)} cells "
             f"vs {len(degs)} degeneracies"
         )
-    return occ.counts, degs
+    return ns, degs
 
 
 class StirlingForm(Enum):
@@ -278,7 +295,7 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
         for n_i, g_i in zip(ns, degs):
             prefix += n_i
             value *= math.comb(prefix, n_i) * g_i**n_i
-        return Count.from_int(value)
+        return Count._exact(value)
     # N may leave the float range although every n_i fits
     _check.count("n", N, 0)
     terms = [n_i * math.log(g_i) for n_i, g_i in zip(ns, degs)]
@@ -403,5 +420,5 @@ def classical_symbol_states(
     g = _check.integer("g", g, 1)
     limit = _check_exact_limit(exact_limit)
     if n <= limit:
-        return Count.from_int(g**n)
+        return Count._exact(g**n)
     return Count.log_only(n * math.log(g))

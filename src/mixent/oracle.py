@@ -55,7 +55,7 @@ class CellSpec:
     degeneracies: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degs = tuple(_check.integer("degeneracy", g, 1) for g in self.degeneracies)
+        degs = _check.degeneracies(self.degeneracies)
         object.__setattr__(self, "degeneracies", degs)
         if not degs:
             raise OracleSizeError("CellSpec needs at least one cell")
@@ -71,7 +71,7 @@ class CellSpec:
 def _as_cells(cells: CellSpec | tuple[int, ...]) -> CellSpec:
     if isinstance(cells, CellSpec):
         return cells
-    return CellSpec(tuple(cells))
+    return CellSpec(cells)
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _decode(
         for _ in range(m):
             key, n = divmod(key, base)
             occ.append(n)
-        grouped[OccupationVector(tuple(occ))] = count
+        grouped[OccupationVector._exact(tuple(occ))] = count
     return grouped
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from mixent import (
+    CellSpec,
     Count,
     CountingModel,
     EnsembleSpec,
@@ -41,6 +42,7 @@ from mixent import (
     partition_change_entropy,
     partition_function,
     separation_work,
+    verify_counting,
 )
 from mixent.cli import main
 from mixent.errors import DomainError
@@ -102,6 +104,15 @@ CONTRACT = [
      "ln of the count overflows a float"),
     ("log-only-inf", lambda: Count.log_only(float("inf")),
      "ln of the count overflows a float"),
+    # a log-only count is a real number: never bool or text, within the float range
+    ("log-only-nan", lambda: Count.log_only(float("nan")), "log_value must not be NaN"),
+    ("log-only-int", lambda: Count.log_only(BIG), f"log_value {BITS}"),
+    ("log-only-bool", lambda: Count.log_only(True),
+     "log_value must be a real number, got True"),
+    ("log-only-str", lambda: Count.log_only("x"),
+     "log_value must be a real number, got 'x'"),
+    ("log-only-none", lambda: Count.log_only(None),
+     "log_value must be a real number, got None"),
     # wrong types
     ("ensemble-levels-scalar", lambda: EnsembleSpec(levels=5.0, N=1, T=1.0),
      "levels must be iterable, got 5.0"),
@@ -113,6 +124,16 @@ CONTRACT = [
     ("scenario-compartment-type",
      lambda: MixingScenario(compartments=(("a", 1, 1.0, 1.0),), final_volume=1.0),
      "compartments must be GasCompartment, got ('a', 1, 1.0, 1.0)"),
+    ("distinguishable-occupation-scalar", lambda: multiplicity_distinguishable(5, (1,)),
+     "occupation numbers must be iterable, got 5"),
+    ("distinguishable-degeneracies-scalar",
+     lambda: multiplicity_distinguishable((1,), None),
+     "degeneracies must be iterable, got None"),
+    ("occupation-vector-scalar", lambda: OccupationVector(5),
+     "occupation numbers must be iterable, got 5"),
+    ("cell-spec-none", lambda: CellSpec(None), "degeneracies must be iterable, got None"),
+    ("verify-cells-scalar", lambda: verify_counting(2, 5),
+     "degeneracies must be iterable, got 5"),
     ("ideal-gas-form", lambda: ideal_gas_entropy(1, 1.0, 1.0, GIBBS, "two-term"),
      "unknown stirling form: 'two-term'"),
     # text is not a number, although float() would parse it

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from mixent import _check
 from mixent.combinatorics import (
     DEFAULT_EXACT_LIMIT,
     MAX_EXACT_LIMIT,
@@ -16,6 +17,7 @@ from mixent.combinatorics import (
     OccupationVector,
     StirlingForm,
     _log_multinomial,
+    _multinomial,
     binomial,
     classical_symbol_states,
     log_factorial_exact,
@@ -299,6 +301,49 @@ class TestExactCountKernels:
         else:
             assert dist.is_log_only and gibbs.is_log_only
         assert gibbs.log_value == dist.log_value - log_factorial_exact(7)
+
+
+class TestCheckedOnce:
+    """A counting call checks each input once: a plain iterable of cells
+    builds no OccupationVector, and an exact count is not checked again."""
+
+    def test_plain_cells_build_no_occupation_vector(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an OccupationVector was built")
+
+        monkeypatch.setattr(OccupationVector, "__post_init__", refuse)
+        assert multiplicity_distinguishable((2, 1), (2, 1)).value == 12
+        assert multiplicity_distinguishable([0, 3], iter([5, 2]), exact_limit=0).is_log_only
+        assert multiplicity_gibbs_corrected((2, 1), (2, 1)).value == 2
+        assert multiplicity_gibbs_corrected_exact((2, 1), (2, 1)) == 2
+
+    def test_multinomial_count_is_from_int_of_its_value(self, monkeypatch):
+        rng = random.Random(1801)
+        cases = [((0,), (1,)), ((2,), (0,)), ((0, 3), (4, 0)), ((1, 2), (0, 5))]
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            cases.append(
+                (
+                    tuple(rng.randint(0, 30) for _ in range(m)),
+                    tuple(rng.randint(0, 5) for _ in range(m)),
+                )
+            )
+
+        def refuse(*args):
+            raise AssertionError("an exact count was checked again")
+
+        monkeypatch.setattr(Count, "from_int", refuse)
+        monkeypatch.setattr(_check, "integer", refuse)
+        got = [_multinomial(ns, gs, DEFAULT_EXACT_LIMIT) for ns, gs in cases]
+        monkeypatch.undo()
+        zeros = 0
+        for count, (ns, gs) in zip(got, cases):
+            value = TestExactCountKernels.reference_distinguishable(ns, gs)
+            want = Count.from_int(value)
+            assert count == want and type(count.value) is int, (ns, gs)
+            assert repr(count.log_value) == repr(want.log_value)
+            zeros += value == 0
+        assert zeros >= 20
 
 
 class TestGibbsIntegralityBoundary:

@@ -1,4 +1,5 @@
-"""Contract of the validated value types GasCompartment, SpeciesOverlap, LevelSpec.
+"""Contract of the validated value types GasCompartment, SpeciesOverlap, LevelSpec,
+and of the cell checks behind OccupationVector, CellSpec and the counting calls.
 
 Each is a slotted frozen dataclass with a hand-written ``__init__`` that
 validates and stores every field once.  These tests pin what callers may
@@ -23,8 +24,10 @@ from operator import attrgetter
 import pytest
 
 from mixent import _check
-from mixent.errors import DomainError
+from mixent.combinatorics import OccupationVector, _as_cells
+from mixent.errors import DomainError, OracleSizeError
 from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap, mixing_entropy
+from mixent.oracle import CellSpec
 from mixent.statmech import EnsembleSpec, LevelSpec
 
 NAN = float("nan")
@@ -433,3 +436,100 @@ def test_fields_are_checked_in_declaration_order(cls):
         with pytest.raises(DomainError) as exc:
             cls(*good[:k], *bad[k:])
         assert str(exc.value) == str(expected.value)
+
+
+# The cell checks of the counting calls: _check.occupations and
+# _check.degeneracies store an exact int in range inline and hand every
+# other item to the per-item call.  Each must store what one call per item
+# gives (value and type) or raise what the first bad item raises, and so
+# must the containers and the counting calls built on them.
+def _per_item(field, check):
+    def reference(values):
+        return tuple([check(v) for v in _check.items(field, values)])
+
+    return reference
+
+
+_occupations_reference = _per_item(
+    "occupation numbers", partial(_check.count, "occupation number", minimum=0)
+)
+_degeneracies_reference = _per_item(
+    "degeneracies", partial(_check.integer, "degeneracy", minimum=1)
+)
+
+
+def _occupation_vector_reference(values):
+    ns = _occupations_reference(values)
+    if not ns:
+        raise DomainError("occupation vector needs at least one cell")
+    return ns
+
+
+def _cell_spec_reference(values):
+    gs = _degeneracies_reference(values)
+    if not gs:
+        raise OracleSizeError("CellSpec needs at least one cell")
+    return gs
+
+
+def _as_cells_reference(occ, degs):
+    ns = occ.counts if isinstance(occ, OccupationVector) else _occupation_vector_reference(occ)
+    gs = _degeneracies_reference(degs)
+    if len(gs) != len(ns):
+        raise DomainError(
+            f"occupation/degeneracy length mismatch: {len(ns)} cells "
+            f"vs {len(gs)} degeneracies"
+        )
+    return ns, gs
+
+
+def _typed(value):
+    """A stored value with the type of every item, nested tuples included."""
+    if isinstance(value, tuple):
+        return type(value), [_typed(v) for v in value]
+    return type(value), repr(value)
+
+
+def _typed_outcome(call, *args):
+    """_typed of what ``call(*args)`` returns, or (type, text) of what it raises."""
+    try:
+        return _typed(call(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CELL_VALUES = (
+    [(), [], None, 5, 2.5, "12", b"", (LIMIT - 1, 0), (0, LIMIT)]
+    + [(x,) for x in GRID]
+    + [(x, y) for x in GRID for y in GRID]
+    + [[x, 0] for x in GRID]
+)
+CELL_CHECKS = {
+    "occupations": (_check.occupations, _occupations_reference),
+    "degeneracies": (_check.degeneracies, _degeneracies_reference),
+    "OccupationVector": (lambda v: OccupationVector(v).counts, _occupation_vector_reference),
+    "CellSpec": (lambda v: CellSpec(v).degeneracies, _cell_spec_reference),
+}
+
+
+@pytest.mark.parametrize("name", CELL_CHECKS)
+def test_cells_store_or_raise_what_per_item_checks_give(name):
+    check, reference = CELL_CHECKS[name]
+    for values in CELL_VALUES:
+        assert _typed_outcome(check, values) == _typed_outcome(reference, values), (
+            f"{name}({values!r})"
+        )
+    assert check(n for n in (2, 1)) == (2, 1)  # any iterable, read once
+
+
+CELL_SIDES = [
+    (), (1,), (0, 2), (3, 0, 1), [4, 1], (True,), (-1, 2), (0,), (2, 0),
+    (LIMIT,), (_Int(2), 1), (1.0,), ("1",), 5, None,
+]
+
+
+def test_as_cells_checks_occupations_then_degeneracies_then_lengths():
+    for occ in CELL_SIDES + [OccupationVector((2, 1))]:
+        for degs in CELL_SIDES:
+            got = _typed_outcome(_as_cells, occ, degs)
+            assert got == _typed_outcome(_as_cells_reference, occ, degs), (occ, degs)

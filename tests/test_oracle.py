@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -192,6 +193,26 @@ class TestIndependence:
             tracemalloc.stop()
         assert result.total == 5**9
         assert peak < 1_000_000
+
+
+class TestCheckedOnce:
+    def test_decoded_vectors_are_not_checked_again(self, monkeypatch):
+        labeled, unlabeled = naive_assignments(4, (2, 1)), naive_indistinct(4, (2, 1))
+
+        def refuse(self):
+            raise AssertionError("a decoded occupation vector was checked again")
+
+        monkeypatch.setattr(OccupationVector, "__post_init__", refuse)
+        for result, expected in (
+            (enumerate_assignments(4, (2, 1)), labeled),
+            (enumerate_indistinct(4, (2, 1)), unlabeled),
+        ):
+            assert (result.by_occupation, result.total) == expected
+            for vector in result.by_occupation:
+                assert type(vector.counts) is tuple
+                assert all(type(n) is int for n in vector.counts)
+                assert pickle.loads(pickle.dumps(vector)) == vector
+        assert verify_counting(4, (2, 2)).ok
 
 
 class TestEnumerateIndistinct:
