@@ -10,9 +10,10 @@ first and returns without a further call.  The value-object constructors
 thousand times for a wide level list, accept an exact-type value in range
 inline and call these only for any other value, so every conversion and
 every message stays here; :func:`occupations` and :func:`degeneracies`
-do the same for each cell of a counting call.  :func:`fsum` is every
-float sum in the package; each caller says what a sum beyond the float
-range stands for.
+do the same for each cell of a counting call.  :func:`occupations` is the
+whole occupation rule: one count >= 0 per cell, and at least one cell.
+:func:`fsum` is every float sum in the package; each caller says what a
+sum beyond the float range stands for.
 """
 
 from __future__ import annotations
@@ -126,8 +127,11 @@ def items(name: str, value: object) -> tuple:
 
 
 def occupations(values: object) -> tuple[int, ...]:
-    """Occupation numbers: one :func:`count` >= 0 per item of values."""
+    """Occupation numbers: one :func:`count` >= 0 per item of values, and
+    at least one item."""
     ns = items("occupation numbers", values)
+    if not ns:
+        raise DomainError("occupation vector needs at least one cell")
     for n in ns:
         if type(n) is not int or not 0 <= n < _FLOAT_OVERFLOW:
             return tuple([count("occupation number", n, 0) for n in ns])

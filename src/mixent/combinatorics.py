@@ -19,6 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _check
+from ._check import _INF
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -48,8 +49,6 @@ __all__ = [
 DEFAULT_EXACT_LIMIT = 5000
 MAX_EXACT_LIMIT = 20000
 
-_NEG_INF = float("-inf")
-_INF = float("inf")
 _TWO_PI = 2.0 * math.pi
 # EXACT adds it to (1/2) ln x, where 2 pi x would overflow above 2.9e307
 _HALF_LN_2PI = 0.5 * math.log(_TWO_PI)
@@ -91,7 +90,7 @@ class Count:
     def _exact(cls, value: int) -> "Count":
         """The count of an int >= 0 that the caller has checked or computed."""
         # math.log takes big ints directly; no float conversion overflow.
-        return cls(log_value=_NEG_INF if value == 0 else math.log(value), value=value)
+        return cls(log_value=-_INF if value == 0 else math.log(value), value=value)
 
     @classmethod
     def log_only(cls, log_value: float) -> "Count":
@@ -116,7 +115,7 @@ class OccupationVector:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", _occupations(self.counts))
+        object.__setattr__(self, "counts", _check.occupations(self.counts))
 
     @classmethod
     def _exact(cls, counts: tuple[int, ...]) -> "OccupationVector":
@@ -137,19 +136,11 @@ class OccupationVector:
         return iter(self.counts)
 
 
-def _occupations(values: object) -> tuple[int, ...]:
-    """Checked occupation numbers, at least one."""
-    ns = _check.occupations(values)
-    if not ns:
-        raise DomainError("occupation vector needs at least one cell")
-    return ns
-
-
 def _as_cells(
     occ: OccupationVector | Iterable[int], degeneracies: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Checked occupation numbers and cell degeneracies, one per cell."""
-    ns = occ.counts if isinstance(occ, OccupationVector) else _occupations(occ)
+    ns = occ.counts if isinstance(occ, OccupationVector) else _check.occupations(occ)
     degs = _check.degeneracies(degeneracies)
     if len(degs) != len(ns):
         raise DomainError(
@@ -282,11 +273,12 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
     """N! * prod(g_i^n_i) / prod(n_i!) for checked cells, N = sum(ns).
 
     The one multinomial of the module: binomial and multiset counts are
-    it over two cells of one substate each.  Exact for N <= limit, as a
-    chain of binomials comb(n_1 + ... + n_i, n_i) * g_i^n_i that never
-    divides.  Beyond it log-only: the fsum of the per-cell n_i ln g_i and
-    ``_log_multinomial`` under EXACT, so the same bits on every interpreter
-    (``sum`` compensates from Python 3.12 on).
+    it over two cells of one substate each, g**n over one cell of g.
+    Exact for N <= limit, as a chain of binomials comb(n_1 + ... + n_i,
+    n_i) * g_i^n_i that never divides.  Beyond it log-only: the fsum of
+    the per-cell n_i ln g_i and ``_log_multinomial`` under EXACT, so the
+    same bits on every interpreter (``sum`` compensates from Python 3.12
+    on).
     """
     N = sum(ns)
     if N <= limit:
@@ -415,10 +407,8 @@ def multiplicity_bose_approx(n: int, g: int) -> float:
 def classical_symbol_states(
     n: int, g: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> Count:
-    """Ordered assignments of n labeled particles to g substates: g**n."""
+    """Ordered assignments of n labeled particles to g substates: g**n,
+    the multinomial over one cell of g substates."""
     n = _check.count("n", n, 0)
     g = _check.integer("g", g, 1)
-    limit = _check_exact_limit(exact_limit)
-    if n <= limit:
-        return Count._exact(g**n)
-    return Count.log_only(n * math.log(g))
+    return _multinomial((n,), (g,), _check_exact_limit(exact_limit))

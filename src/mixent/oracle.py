@@ -68,7 +68,7 @@ class CellSpec:
         return len(self.degeneracies)
 
 
-def _as_cells(cells: CellSpec | tuple[int, ...]) -> CellSpec:
+def _cell_spec(cells: CellSpec | tuple[int, ...]) -> CellSpec:
     if isinstance(cells, CellSpec):
         return cells
     return CellSpec(cells)
@@ -136,7 +136,7 @@ def enumerate_assignments(
     ASSIGNMENT_GUARD (a single substate counting as two).
     """
     N = _check.integer("N", N)
-    cells = _as_cells(cells)
+    cells = _cell_spec(cells)
     G = cells.total_substates
     # decided before any power: 2**N > the guard once N reaches its bit
     # length, and one substate counts as two (each assignment costs N steps)
@@ -176,7 +176,7 @@ def enumerate_indistinct(
     the reported total still comes from actual iteration).
     """
     N = _check.integer("N", N)
-    cells = _as_cells(cells)
+    cells = _cell_spec(cells)
     G = cells.total_substates
     m = max(G, 2) - 1  # one substate counts as two, as in enumerate_assignments
     # C(N + m, N) >= 2**min(N, m), so the binomial is needed only while that
@@ -262,7 +262,7 @@ def verify_counting(
       * multiset pattern counts == product of multiplicity_bose_exact
     Failures carry the first counterexample found.
     """
-    cells = _as_cells(cells)
+    cells = _cell_spec(cells)
     degs = cells.degeneracies
 
     labeled = enumerate_assignments(N, cells)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixent import _check
+from mixent import _check, combinatorics
 from mixent.combinatorics import (
     DEFAULT_EXACT_LIMIT,
     MAX_EXACT_LIMIT,
@@ -512,6 +512,45 @@ class TestClassicalSymbolStates:
         c = classical_symbol_states(6000, 3)
         assert c.is_log_only
         assert c.log_value == pytest.approx(6000 * math.log(3), rel=1e-15)
+
+    def test_goes_through_the_multinomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("g**n counted outside _multinomial")
+
+        monkeypatch.setattr(combinatorics, "_multinomial", refuse)
+        for limit in (0, DEFAULT_EXACT_LIMIT):
+            with pytest.raises(AssertionError, match="outside _multinomial"):
+                classical_symbol_states(3, 2, exact_limit=limit)
+
+    @pytest.mark.parametrize("limit", [0, 5, DEFAULT_EXACT_LIMIT, MAX_EXACT_LIMIT])
+    def test_is_the_one_cell_distinguishable_count(self, limit):
+        # g**n is N! g^N / N! over one cell: the same value and log bits,
+        # or the same error where ln g**n leaves the float range
+        rng = random.Random(1901 + limit)
+        cases = [(0, 1), (0, 2**2000), (limit, 1), (limit + 1, 2), (10**300, 1)]
+        cases.append((10**308, 2**2000))  # ln g**n beyond the float range
+        for _ in range(150):
+            n = rng.choice([rng.randint(0, 30), limit, 10 ** rng.randint(0, 300)])
+            n = max(n + rng.randint(-2, 9), 0)
+            # bits of g; an exact g**n stays below 2**18 bits, so it is quick
+            most = 2000 if n > limit else min(2000, 2**18 // (n + 1))
+            bits = rng.randint(1, max(1, most))
+            cases.append((n, rng.randint(1, 2**bits)))
+        outcomes = set()
+        for n, g in cases:
+            try:
+                got = classical_symbol_states(n, g, exact_limit=limit)
+            except DomainError as exc:
+                with pytest.raises(DomainError) as want:
+                    multiplicity_distinguishable((n,), (g,), exact_limit=limit)
+                assert str(exc) == str(want.value), (n, g)
+                outcomes.add("error")
+                continue
+            want = multiplicity_distinguishable((n,), (g,), exact_limit=limit)
+            assert got.value == want.value and type(got.value) is type(want.value)
+            assert got.log_value.hex() == want.log_value.hex(), (n, g)
+            outcomes.add("log-only" if got.is_log_only else "exact")
+        assert outcomes == {"exact", "log-only", "error"}
 
 
 class TestLogFactorial:

@@ -443,6 +443,7 @@ def test_fields_are_checked_in_declaration_order(cls):
 # other item to the per-item call.  Each must store what one call per item
 # gives (value and type) or raise what the first bad item raises, and so
 # must the containers and the counting calls built on them.
+# _check.occupations also owns "at least one cell", as OccupationVector.
 def _per_item(field, check):
     def reference(values):
         return tuple([check(v) for v in _check.items(field, values)])
@@ -505,7 +506,7 @@ CELL_VALUES = (
     + [[x, 0] for x in GRID]
 )
 CELL_CHECKS = {
-    "occupations": (_check.occupations, _occupations_reference),
+    "occupations": (_check.occupations, _occupation_vector_reference),
     "degeneracies": (_check.degeneracies, _degeneracies_reference),
     "OccupationVector": (lambda v: OccupationVector(v).counts, _occupation_vector_reference),
     "CellSpec": (lambda v: CellSpec(v).degeneracies, _cell_spec_reference),

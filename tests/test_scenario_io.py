@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError, ScenarioParseError
@@ -261,6 +265,57 @@ class TestDomainVsParse:
             parse_scenario(text)
 
 
+_LABELS = st.text(string.ascii_letters + string.digits + "_.+-", min_size=1)
+# ids that serialize_scenario accepts: one line, no outer whitespace
+_IDS = st.text(
+    st.characters(blacklist_characters="\n\r"), min_size=1
+).filter(lambda s: s == s.strip())
+_POSITIVE = {"min_value": 0.0, "exclude_min": True, "allow_infinity": False}
+
+
+@st.composite
+def _scenario_files(draw):
+    """A ScenarioFile that serialize_scenario writes.
+
+    Up to 8 compartments, labels drawn from a pool (so a label may repeat
+    and an overlap may name one that no compartment holds), N up to 1e18,
+    V below 1e307 so the volume sum stays finite, one T, overlaps on
+    distinct pairs with q in [0, 1], and final_volume left out or given
+    as the volume sum.
+    """
+    pool = draw(st.lists(_LABELS, min_size=1, max_size=5, unique=True))
+    T = draw(st.floats(**_POSITIVE))
+    compartments = draw(
+        st.lists(
+            st.builds(
+                GasCompartment,
+                st.sampled_from(pool),
+                st.integers(1, 10**18),
+                st.floats(max_value=1e307, **_POSITIVE),
+                st.just(T),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    pairs = [(a, b) for i, a in enumerate(pool) for b in pool[i + 1 :]]
+    overlaps = draw(
+        st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([])
+    )
+    v_sum = math.fsum(c.V for c in compartments)
+    scenario = MixingScenario(
+        compartments=compartments,
+        final_volume=draw(st.sampled_from([None, v_sum])),
+        overlaps=[
+            SpeciesOverlap(a, b, draw(st.floats(0.0, 1.0))) for a, b in overlaps
+        ],
+        model=draw(st.sampled_from(CountingModel)),
+        stirling_form=draw(st.sampled_from(StirlingForm)),
+        weighting=draw(st.sampled_from(Weighting)),
+    )
+    return ScenarioFile(draw(_IDS), scenario)
+
+
 class TestRoundTrip:
     def test_serialize_parse_identity(self):
         sf = parse_scenario(FULL_TEXT)
@@ -355,6 +410,19 @@ class TestRoundTrip:
             written += 1
             assert parse_scenario(text) == sf, text
         assert written >= 100 and refused >= 100
+
+    def test_parse_inverts_serialize_as_a_property(self):
+        seen = set()
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+        @given(_scenario_files())
+        def check(sf):
+            s = sf.scenario
+            seen.update((s.model, s.stirling_form, s.weighting))
+            assert parse_scenario(serialize_scenario(sf)) == sf
+
+        check()
+        assert seen == {*CountingModel, *StirlingForm, *Weighting}
 
     def test_readme_example_is_the_shipped_scenario(self):
         section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
