@@ -293,6 +293,15 @@ def separation_work(delta_S: float, T: float) -> float:
     return work
 
 
+def _report(
+    initial: EntropyResult, S_final: float, delta_S: float, N: int, T: float, q: float
+) -> MixingReport:
+    """The one way a MixingReport is made: S_final is checked as ``initial``
+    was, and the separation work is T * delta_S."""
+    final = _entropy_result(S_final, N, initial.model, initial.stirling_form)
+    return MixingReport(initial, final, delta_S, separation_work(delta_S, T), q)
+
+
 def _effective_overlap(scenario: MixingScenario) -> float:
     """The single q applied to a scenario's inter-species mixing term.
 
@@ -375,14 +384,7 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     q = _effective_overlap(scenario)
     delta_S = delta_density + _weighted(delta_inter, q, scenario.weighting)
     # S_final is inf or NaN if delta_S is: one check covers both
-    final = _entropy_result(initial.S + delta_S, N_total, model, form)
-    return MixingReport(
-        S_initial=initial,
-        S_final=final,
-        delta_S=delta_S,
-        separation_work=separation_work(delta_S, T),
-        overlap_applied=q,
-    )
+    return _report(initial, initial.S + delta_S, delta_S, N_total, T, q)
 
 
 def partition_change_entropy(
@@ -438,19 +440,13 @@ def partition_change_entropy(
         r_part, r_joined = stirling_form._remainders((N / parts, float(N)))
         removal = parts * r_part - r_joined
     S_joined = _ideal_gas_S(float(N), V, T, model, stirling_form, 0.0)
-    joined = _entropy_result(S_joined, N, model, stirling_form)
-    parted = _entropy_result(S_joined - removal, N, model, stirling_form)
+    S_parted = S_joined - removal
     if exact_corrected:
-        initial, final, delta_S = parted, joined, removal
+        S_initial, S_final, delta_S = S_parted, S_joined, removal
     else:  # 0.0 - 0.0 is +0.0 where -removal would be -0.0
-        initial, final, delta_S = joined, parted, 0.0 - removal
-    return MixingReport(
-        S_initial=initial,
-        S_final=final,
-        delta_S=delta_S,
-        separation_work=separation_work(delta_S, T),
-        overlap_applied=1.0,
-    )
+        S_initial, S_final, delta_S = S_joined, S_parted, 0.0 - removal
+    initial = _entropy_result(S_initial, N, model, stirling_form)
+    return _report(initial, S_final, delta_S, N, T, 1.0)
 
 
 def spin_field_scenario(

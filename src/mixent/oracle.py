@@ -103,10 +103,9 @@ def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
     )
 
 
-def _decode(
-    tally: Counter[int], N: int, m: int
-) -> dict[OccupationVector, int]:
-    """Turn a key tally back into occupation vectors (base-(N+1) digits)."""
+def _decode(tally: Counter[int], N: int, m: int) -> EnumerationResult:
+    """The one way an EnumerationResult is made: the key tally turned back
+    into occupation vectors (base-(N+1) digits), and its total."""
     base = N + 1
     grouped = {}
     for key, count in tally.items():
@@ -115,7 +114,7 @@ def _decode(
             key, n = divmod(key, base)
             occ.append(n)
         grouped[OccupationVector._exact(tuple(occ))] = count
-    return grouped
+    return EnumerationResult(by_occupation=grouped, total=sum(tally.values()))
 
 
 def enumerate_assignments(
@@ -145,7 +144,6 @@ def enumerate_assignments(
             f"labeled enumeration of N = {N} particles over G = {G} substates "
             f"exceeds the guard of {ASSIGNMENT_GUARD} assignments"
         )
-    n_assignments = G**N
     weight = _substate_weights(cells, N)
     suffix, k = (weight, 1) if N else ((0,), 0)
     while k < N and len(suffix) * G <= _SUFFIX_BLOCK:
@@ -154,14 +152,10 @@ def enumerate_assignments(
     tally: Counter[int] = Counter()
     for prefix in map(sum, itertools.product(weight, repeat=N - k)):
         tally.update(map(operator.add, itertools.repeat(prefix), suffix))
-    total = sum(tally.values())
-    if total != n_assignments:
-        raise AssertionError(
-            f"enumeration is broken: visited {total} of {n_assignments}"
-        )
-    return EnumerationResult(
-        by_occupation=_decode(tally, N, len(cells)), total=total
-    )
+    result = _decode(tally, N, len(cells))
+    if result.total != G**N:
+        raise AssertionError(f"enumeration is broken: visited {result.total} of {G**N}")
+    return result
 
 
 def enumerate_indistinct(
@@ -190,13 +184,8 @@ def enumerate_indistinct(
             f"exceeds the guard of {INDISTINCT_GUARD} multiset patterns"
         )
     weight = _substate_weights(cells, N)
-    tally = Counter(
-        map(sum, itertools.combinations_with_replacement(weight, N))
-    )
-    return EnumerationResult(
-        by_occupation=_decode(tally, N, len(cells)),
-        total=sum(tally.values()),
-    )
+    tally = Counter(map(sum, itertools.combinations_with_replacement(weight, N)))
+    return _decode(tally, N, len(cells))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ code 1 or 2 with one line on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from mixent import (
     multiplicity_bose_approx,
     multiplicity_bose_exact,
     multiplicity_distinguishable,
+    multiplicity_gibbs_corrected,
     overlap_weighted_mixing_entropy,
     parse_scenario,
     partition_change_entropy,
@@ -50,6 +52,7 @@ from mixent.errors import DomainError
 BIG = 10**400  # beyond the float range
 EDGE = 10**308  # fits a float; the sum of two does not
 BITS = "must fit a float (at most about 1.8e308), got a 1329-bit integer"
+TOTAL = "total particle number must fit a float (at most about 1.8e308), got a"
 GIBBS = CountingModel.GIBBS_CORRECTED
 
 # (id, call, the message of the DomainError it raises)
@@ -77,6 +80,15 @@ CONTRACT = [
     ("distinguishable-occupation",
      lambda: multiplicity_distinguishable((BIG,), (1,)),
      f"occupation number {BITS}"),
+    # every n_i fits a float, the total of a log-only count does not
+    ("distinguishable-total",
+     lambda: multiplicity_distinguishable((2**1023, 2**1023), (1, 1), exact_limit=0),
+     f"{TOTAL} 1025-bit integer"),
+    ("corrected-total",
+     lambda: multiplicity_gibbs_corrected((2**1023, 2**1023), (1, 1), exact_limit=0),
+     f"{TOTAL} 1025-bit integer"),
+    ("bose-exact-total", lambda: multiplicity_bose_exact(2**1023, 2**1023),
+     f"{TOTAL} 1024-bit integer"),
     ("log-factorial-exact", lambda: log_factorial_exact(BIG), f"n {BITS}"),
     ("log-factorial-method", lambda: StirlingForm.EXACT.log_factorial(BIG),
      f"n {BITS}"),
@@ -113,6 +125,15 @@ CONTRACT = [
      "log_value must be a real number, got 'x'"),
     ("log-only-none", lambda: Count.log_only(None),
      "log_value must be a real number, got None"),
+    # the constructor checks a count as log_only and from_int do
+    ("count-str", lambda: Count("x"), "log_value must be a real number, got 'x'"),
+    ("count-nan", lambda: Count(float("nan")), "log_value must not be NaN"),
+    ("count-inf", lambda: Count(float("inf")), "ln of the count overflows a float"),
+    ("count-negative", lambda: Count(1.0, -5), "count must be >= 0, got -5"),
+    ("count-bool", lambda: Count(1.0, True), "count must be an integer, got True"),
+    ("count-float", lambda: Count(1.0, 2.5), "count must be an integer, got 2.5"),
+    ("count-replace", lambda: dataclasses.replace(Count.from_int(3), value=-1),
+     "count must be >= 0, got -1"),
     # wrong types
     ("ensemble-levels-scalar", lambda: EnsembleSpec(levels=5.0, N=1, T=1.0),
      "levels must be iterable, got 5.0"),

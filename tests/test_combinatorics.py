@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,6 +31,38 @@ from mixent.combinatorics import (
     multiplicity_gibbs_corrected_exact,
 )
 from mixent.errors import DomainError
+
+
+# Counts pickled at protocols 0 and 5 by the code before Count checked its
+# fields: (from_int(792), from_int(0), log_only(1.5), the log-only
+# _multinomial((3, 4), (2, 5), 0) and the integral corrected count of
+# ((2, 2), (2, 3)))
+PICKLED_BEFORE_THE_CHECKS = (
+    b"(ccopy_reg\n_reconstructor\np0\n(cmixent.combinatorics\nCount\np1\nc__builtin__\n"
+    b"object\np2\nNtp3\nRp4\n(dp5\nVlog_value\np6\nF6.674561391814426\nsVvalue\np7\n"
+    b"I792\nsbg0\n(g1\ng2\nNtp8\nRp9\n(dp10\ng6\nF-inf\nsg7\nI0\nsbg0\n(g1\ng2\n"
+    b"Ntp11\nRp12\n(dp13\ng6\nF1.5\nsg7\nNsbg0\n(g1\ng2\nNtp14\nRp15\n(dp16\ng6\n"
+    b"F12.072541252905651\nsg7\nNsbg0\n(g1\ng2\nNtp17\nRp18\n(dp19\ng6\n"
+    b"F2.1972245773362205\nsg7\nI9\nsbtp20\n.",
+    bytes.fromhex(
+        "800595af00000000000000288c146d6978656e742e636f6d62696e61746f72696373948c05"
+        "436f756e749493942981947d94288c096c6f675f76616c75659447401ab2c038b3f2e58c05"
+        "76616c7565944d1803756268022981947d9428680547fff000000000000068064b00756268"
+        "022981947d94286805473ff800000000000068064e756268022981947d9428680547402825"
+        "242089ae6868064e756268022981947d9428680547400193ea7aad030d68064b0975627494"
+        "2e"
+    ),
+)
+
+
+def _counts():
+    return (
+        Count.from_int(792),
+        Count.from_int(0),
+        Count.log_only(1.5),
+        _multinomial((3, 4), (2, 5), 0),
+        multiplicity_gibbs_corrected((2, 2), (2, 3)),
+    )
 
 
 def compositions(total, parts):
@@ -63,6 +97,49 @@ class TestCount:
     def test_nan_log_rejected(self):
         with pytest.raises(DomainError, match="NaN"):
             Count.log_only(math.nan)
+
+    def test_constructor_stores_checked_values(self):
+        class Index:
+            def __index__(self):
+                return 4
+
+        c = Count(3, Index())
+        assert (c.log_value, c.value) == (3.0, 4)
+        assert (type(c.log_value), type(c.value)) == (float, int)
+        assert Count.log_only(-2) == Count(-2.0) == Count(-2.0, None)
+
+    def test_only_exact_counts_skip_the_constructor_checks(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("checked by the constructor")
+
+        monkeypatch.setattr(Count, "__post_init__", refuse)
+        assert Count.from_int(12).value == 12
+        assert _multinomial((2, 1), (2, 1), DEFAULT_EXACT_LIMIT).value == 12
+        for build in (Count, Count.log_only):
+            with pytest.raises(AssertionError, match="constructor"):
+                build(1.5)
+        with pytest.raises(AssertionError, match="constructor"):
+            _multinomial((2, 1), (2, 1), 0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_copy_and_deepcopy_keep_every_count(self, protocol):
+        counts = _counts() + (_multinomial((3, 4), (2, 5), DEFAULT_EXACT_LIMIT),)
+        assert [c.value for c in counts] == [792, 0, None, None, 9, 175000]
+        for count in counts:
+            twins = (
+                pickle.loads(pickle.dumps(count, protocol=protocol)),
+                copy.copy(count),
+                copy.deepcopy(count),
+            )
+            for twin in twins:
+                assert twin == count and repr(twin) == repr(count)
+                assert type(twin.value) is type(count.value)
+
+    @pytest.mark.parametrize("data", PICKLED_BEFORE_THE_CHECKS, ids=["p0", "p5"])
+    def test_counts_pickled_before_the_checks_load(self, data):
+        back = pickle.loads(data)
+        assert back == _counts()
+        assert repr(back) == repr(_counts())
 
     def test_occupation_vector(self):
         assert OccupationVector((2, 3)).total == 5
@@ -216,6 +293,34 @@ class TestMultiplicityGibbsCorrected:
             corrected = multiplicity_gibbs_corrected(occ, degs)
             expected = dist.log_value - log_factorial_exact(sum(occ))
             assert abs(corrected.log_value - expected) <= 1e-12
+
+    def test_log_is_good_to_a_few_ulps_of_its_larger_term(self):
+        """log_value is ln W_dist - ln N!, so its error is a few ulps of the
+        larger of the two: at N = 1e16, g = floor(N / e) the true -19.93
+        reads 0.0, 0.31 of one ulp (64) of ln N!.  The reference is 50-digit
+        mpmath on the ints themselves."""
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(2021)
+        cases = [((10**16,), (3678794411714423,), 0)]
+        for _ in range(300):
+            m = rng.randint(1, 4)
+            ns = [rng.randint(0, 10 ** rng.randint(0, 17)) for _ in range(m)]
+            ns[0] = ns[0] or 1
+            los = [max(1, int(n / math.e)) for n in ns]  # g from about n / e up
+            gs = tuple(rng.randint(lo, lo * 10 ** rng.randint(0, 80)) for lo in los)
+            cases += [(tuple(ns), gs, 0), (tuple(ns), gs, DEFAULT_EXACT_LIMIT)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for ns, gs, limit in cases:
+                got = multiplicity_gibbs_corrected(ns, gs, exact_limit=limit).log_value
+                want = mpmath.fsum(
+                    n * mpmath.log(g) - mpmath.loggamma(n + 1) for n, g in zip(ns, gs)
+                )
+                ln_N_factorial = mpmath.loggamma(sum(ns) + 1)
+                ln_dist = abs(float(want + ln_N_factorial))
+                scale = max(ln_dist, float(ln_N_factorial), 1.0)
+                worst = max(worst, float(abs(got - want)) / math.ulp(scale))
+        assert worst <= 4.0
 
     def test_exact_rational_matches_fraction_of_counts(self):
         occ, degs = (3, 2, 0), (2, 3, 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from mixent import mixing
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError
 from mixent.mixing import (
@@ -571,3 +572,39 @@ class TestEntropyBeyondFloatRange:
             partition_change_entropy(
                 10**308, 1.0, 1.0, 2, CountingModel.GIBBS_CORRECTED, form
             )
+
+
+class TestOneReportBuilder:
+    """Every MixingReport is made by mixing._report: with it refusing, both
+    calls raise under every model and form, and the report each returns is
+    the one it built."""
+
+    @pytest.mark.parametrize("model", list(CountingModel))
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    def test_both_calls_build_through_it(self, monkeypatch, model, form):
+        scenario = MixingScenario.from_compartments(
+            (GasCompartment("a", 6, 1.0, 1.0), GasCompartment("b", 4, 2.0, 1.0)),
+            model=model,
+            stirling_form=form,
+        )
+        calls = (
+            lambda: mixing_entropy(scenario),
+            lambda: partition_change_entropy(12, 1.0, 1.0, 2, model, form),
+        )
+        build = mixing._report
+        built = []
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        def record(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(mixing, "_report", refuse)
+        for call in calls:
+            with pytest.raises(AssertionError, match="refused"):
+                call()
+        monkeypatch.setattr(mixing, "_report", record)
+        for call in calls:
+            assert call() is built[-1]

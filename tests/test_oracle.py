@@ -215,6 +215,30 @@ class TestCheckedOnce:
         assert verify_counting(4, (2, 2)).ok
 
 
+class TestOneResultBuilder:
+    def test_both_enumerators_build_through_decode(self, monkeypatch):
+        """Every EnumerationResult is made by oracle._decode: with it
+        refusing, both enumerators raise, and the result each returns is
+        the one it built."""
+        build = mixent.oracle._decode
+        built = []
+
+        def refuse(*args):
+            raise AssertionError("refused")
+
+        def record(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        for N, cells in ((0, (1,)), (3, (2, 1))):
+            for enumerate_ in (enumerate_assignments, enumerate_indistinct):
+                monkeypatch.setattr(mixent.oracle, "_decode", refuse)
+                with pytest.raises(AssertionError, match="refused"):
+                    enumerate_(N, cells)
+                monkeypatch.setattr(mixent.oracle, "_decode", record)
+                assert enumerate_(N, cells) is built[-1]
+
+
 class TestEnumerateIndistinct:
     def test_single_cell(self):
         result = enumerate_indistinct(3, (2,))
