@@ -280,7 +280,9 @@ def log_factorial_stirling(n: int | float, *, three_term: bool = False) -> float
     return form.log_factorial(n)
 
 
-def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
+def _multinomial(
+    ns: Sequence[int], degs: Sequence[int], limit: int, total: str = "total particle number"
+) -> Count:
     """N! * prod(g_i^n_i) / prod(n_i!) for checked cells, N = sum(ns).
 
     The one multinomial of the module: binomial and multiset counts are
@@ -289,7 +291,8 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
     n_i) * g_i^n_i that never divides.  Beyond it log-only: the fsum of
     the per-cell n_i ln g_i and ``_log_multinomial`` under EXACT, so the
     same bits on every interpreter (``sum`` compensates from Python 3.12
-    on).
+    on).  N may leave the float range although every n_i fits; the error
+    then calls it ``total``.
     """
     N = sum(ns)
     if N <= limit:
@@ -299,8 +302,7 @@ def _multinomial(ns: Sequence[int], degs: Sequence[int], limit: int) -> Count:
             prefix += n_i
             value *= math.comb(prefix, n_i) * g_i**n_i
         return Count._exact(value)
-    # N may leave the float range although every n_i fits
-    _check.count("total particle number", N, 0)
+    _check.count(total, N, 0)
     terms = [n_i * math.log(g_i) for n_i, g_i in zip(ns, degs)]
     terms.append(_log_multinomial(ns, StirlingForm.EXACT))
     return Count.log_only(_check.fsum(terms, _INF))
@@ -398,11 +400,11 @@ def multiplicity_bose_exact(
     n: int, g: int, *, exact_limit: int = DEFAULT_EXACT_LIMIT
 ) -> Count:
     """Unordered ways to place n identical particles in g substates:
-    (n + g - 1)! / (n! (g - 1)!).
+    (n + g - 1)! / (n! (g - 1)!), the multinomial over the cells (n, g - 1).
     """
     n = _check.count("n", n, 0)
     g = _check.count("g", g)
-    return _multinomial((n, g - 1), (1, 1), _check_exact_limit(exact_limit))
+    return _multinomial((n, g - 1), (1, 1), _check_exact_limit(exact_limit), "n + g - 1")
 
 
 def multiplicity_bose_approx(n: int, g: int) -> float:

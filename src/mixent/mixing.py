@@ -133,6 +133,10 @@ class Weighting(Enum):
     COMPLEMENT = "complement"
     LITERAL = "literal"
 
+    def _scale(self, q: float) -> float:
+        """The factor on the inter-species term at a checked overlap q."""
+        return 1.0 - q * q if self is Weighting.COMPLEMENT else q * q
+
 
 @dataclass(frozen=True)
 class MixingScenario:
@@ -143,7 +147,9 @@ class MixingScenario:
     volumes (1e-12 relative); violations are domain errors since the
     entropy bookkeeping here has no terms for heat or compression work.
     Left out, final_volume is that sum.  Copied, deep-copied, replaced and
-    unpickled scenarios pass the same checks as constructed ones.
+    unpickled scenarios pass the same checks as constructed ones.  The
+    overlap rule lives in mixing._species_term, which never reads an entry
+    naming a species that no compartment holds; such an entry is kept.
     """
 
     compartments: tuple[GasCompartment, ...]
@@ -228,9 +234,7 @@ class MixingScenario:
 
     def pair_overlap(self, a: str, b: str) -> float:
         """Overlap for a species pair; 1 for identical labels, 0 if unlisted."""
-        if a == b:
-            return 1.0
-        return self._overlap_table.get((a, b) if a < b else (b, a), 0.0)
+        return _species_term(self, dict.fromkeys((a, b), 1))[1]
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,8 @@ class MixingReport:
     """Before/after entropies for a scenario, plus the derived quantities.
 
     separation_work is T * delta_S: the minimum isothermal work to undo
-    the change (meaningful when delta_S >= 0).  overlap_applied records
-    the effective overlap q used, 1.0 when only one species is present.
+    the change (meaningful when delta_S >= 0).  overlap_applied is the q
+    that mixing._species_term applied, 1.0 when only one species is present.
     """
 
     S_initial: EntropyResult
@@ -254,26 +258,14 @@ def overlap_weighted_mixing_entropy(
     overlap: float,
     weighting: Weighting = Weighting.COMPLEMENT,
 ) -> float:
-    """Scale a fully-distinct mixing entropy by the species overlap q.
-
-    COMPLEMENT: delta * (1 - q^2), which runs continuously from the full
-    value at q = 0 to exactly 0 at q = 1.  LITERAL: delta * q^2.
-    delta_S_full must be a finite real.
+    """Scale a fully-distinct mixing entropy by the species overlap q, as
+    ``weighting`` scales mixing_entropy's inter-species term (see
+    :class:`Weighting`).  delta_S_full must be a finite real.
     """
     delta = _check.finite("delta_S_full", delta_S_full)
     q = _check.overlap(overlap)
     _check.member(Weighting, weighting)
-    return _weighted(delta, q, weighting)
-
-
-def _weighted(delta: float, q: float, weighting: Weighting) -> float:
-    """delta scaled by the overlap weighting, for checked q and weighting.
-
-    delta may be inf or NaN: mixing_entropy reports that on its own result.
-    """
-    if weighting is Weighting.COMPLEMENT:
-        return delta * (1.0 - q * q)
-    return delta * (q * q)
+    return delta * weighting._scale(q)
 
 
 def separation_work(delta_S: float, T: float) -> float:
@@ -302,23 +294,30 @@ def _report(
     return MixingReport(initial, final, delta_S, separation_work(delta_S, T), q)
 
 
-def _effective_overlap(scenario: MixingScenario) -> float:
-    """The single q applied to a scenario's inter-species mixing term.
+def _species_term(
+    scenario: MixingScenario, per_species: dict[str, int]
+) -> tuple[float, float]:
+    """The weighted inter-species term over per-species totals N_s, and its q.
 
-    One species: q = 1 by definition.  Two species: their pair overlap.
-    More: all pairwise overlaps must agree (the weighting is global, so a
-    scenario mixing three species with unequal overlaps has no single
-    consistent q and is rejected).
+    The overlap rule: one species has q = 1; two, their pair overlap (0 if
+    unlisted); more must all agree, since the weighting is global.  Only
+    pairs of species in per_species are read.  Distinguishable counting
+    never notices species (+0.0); otherwise ln(N! / prod N_s!) under the
+    form, scaled by the weighting (inf or NaN is left to the caller).
     """
     table = scenario._overlap_table
-    pairs = itertools.combinations(scenario.species(), 2)  # none for one species
+    pairs = itertools.combinations(sorted(per_species), 2)  # none for one species
     values = {table.get(pair, 0.0) for pair in pairs}
     if len(values) > 1:
         raise DomainError(
             "pairwise overlaps must all agree when more than two species mix; "
             f"got {sorted(values)}"
         )
-    return values.pop() if values else 1.0
+    q = values.pop() if values else 1.0
+    if scenario.model is CountingModel.DISTINGUISHABLE:
+        return 0.0, q
+    delta = _log_multinomial(list(per_species.values()), scenario.stirling_form)
+    return delta * scenario.weighting._scale(q), q
 
 
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
@@ -337,15 +336,14 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         rho_c == rho in floating point.  Distinguishable counting gains
         sum n_c ln(final_volume / V_c);
       * inter-species mixing: ln(N! / prod N_s!) under the form over the
-        per-species totals N_s, sum N_s ln(N / N_s) under the two-term form.
+        per-species totals N_s, sum N_s ln(N / N_s) under the two-term form,
+        scaled by the overlap weighting; ``_species_term`` forms it.
 
-    The overlap weighting applies only to the second piece.  Under
-    distinguishable counting the second piece vanishes identically (that
-    counting never notices species), which is the paradox: it also never
-    pays the price on the first piece, making its total non-extensive.
-    S_initial is all N as one species in the final volume, less the
-    unclamped first piece.  A density or an entropy beyond the float range
-    is a DomainError.
+    Under distinguishable counting the second piece vanishes identically,
+    which is the paradox: that counting also never pays the price on the
+    first piece, making its total non-extensive.  S_initial is all N as
+    one species in the final volume, less the unclamped first piece.  A
+    density or an entropy beyond the float range is a DomainError.
     """
     T = scenario.temperature
     model = scenario.model
@@ -363,9 +361,9 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     V_final = scenario.final_volume
 
     log = math.log
-    if model is CountingModel.DISTINGUISHABLE:  # it never notices species
+    if model is CountingModel.DISTINGUISHABLE:
         gain = _check.fsum([n * log(V_final / V) for n, V in zip(ns, Vs)], math.nan)
-        delta_density, delta_inter = gain, 0.0
+        delta_density = gain
     else:
         rho = N_total / V_final
         rhos = [n / V for n, V in zip(ns, Vs)]
@@ -377,12 +375,11 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
         gain = kl + excess
         # the clamp; NaN fails the comparison and is kept for the result checks
         delta_density = (0.0 if kl <= 0.0 else kl) + excess
-        delta_inter = _log_multinomial(list(per_species.values()), form)
     S_merged = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
     initial = _entropy_result(S_merged - gain, N_total, model, form)
 
-    q = _effective_overlap(scenario)
-    delta_S = delta_density + _weighted(delta_inter, q, scenario.weighting)
+    delta_species, q = _species_term(scenario, per_species)
+    delta_S = delta_density + delta_species
     # S_final is inf or NaN if delta_S is: one check covers both
     return _report(initial, initial.S + delta_S, delta_S, N_total, T, q)
 

@@ -87,8 +87,9 @@ CONTRACT = [
     ("corrected-total",
      lambda: multiplicity_gibbs_corrected((2**1023, 2**1023), (1, 1), exact_limit=0),
      f"{TOTAL} 1025-bit integer"),
+    # the Bose count's total is n + g - 1, its cells being (n, g - 1)
     ("bose-exact-total", lambda: multiplicity_bose_exact(2**1023, 2**1023),
-     f"{TOTAL} 1024-bit integer"),
+     "n + g - 1 must fit a float (at most about 1.8e308), got a 1024-bit integer"),
     ("log-factorial-exact", lambda: log_factorial_exact(BIG), f"n {BITS}"),
     ("log-factorial-method", lambda: StirlingForm.EXACT.log_factorial(BIG),
      f"n {BITS}"),

@@ -319,17 +319,23 @@ class TestMixingEntropy:
             r = mixing_entropy(scenario)
             assert r.delta_S >= -1e-9
 
-    def test_three_species_equal_overlaps_allowed(self):
+    # the overlap rule holds under every model, distinguishable included,
+    # although that model never weights a species term
+    @pytest.mark.parametrize("model", list(CountingModel))
+    def test_three_species_equal_overlaps_allowed(self, model):
         comps = tuple(
             GasCompartment(s, 100, 1.0, 1.0) for s in ("a", "b", "c")
         )
         overlaps = tuple(
             SpeciesOverlap(x, y, 0.25) for x, y in (("a", "b"), ("a", "c"), ("b", "c"))
         )
-        r = mixing_entropy(MixingScenario.from_compartments(comps, overlaps=overlaps))
+        r = mixing_entropy(
+            MixingScenario.from_compartments(comps, overlaps=overlaps, model=model)
+        )
         assert r.overlap_applied == 0.25
 
-    def test_three_species_unequal_overlaps_rejected(self):
+    @pytest.mark.parametrize("model", list(CountingModel))
+    def test_three_species_unequal_overlaps_rejected(self, model):
         comps = tuple(
             GasCompartment(s, 100, 1.0, 1.0) for s in ("a", "b", "c")
         )
@@ -338,12 +344,17 @@ class TestMixingEntropy:
             SpeciesOverlap("a", "c", 0.75),
             SpeciesOverlap("b", "c", 0.25),
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             mixing_entropy(
-                MixingScenario.from_compartments(comps, overlaps=overlaps)
+                MixingScenario.from_compartments(comps, overlaps=overlaps, model=model)
             )
+        assert str(exc.value) == (
+            "pairwise overlaps must all agree when more than two species mix; "
+            "got [0.25, 0.75]"
+        )
 
-    def test_unlisted_pair_among_listed_ones_rejected(self):
+    @pytest.mark.parametrize("model", list(CountingModel))
+    def test_unlisted_pair_among_listed_ones_rejected(self, model):
         # the unlisted b-c pair counts as q = 0, which disagrees with 0.25
         comps = tuple(
             GasCompartment(s, 100, 1.0, 1.0) for s in ("a", "b", "c")
@@ -351,8 +362,27 @@ class TestMixingEntropy:
         overlaps = (SpeciesOverlap("a", "b", 0.25), SpeciesOverlap("a", "c", 0.25))
         with pytest.raises(DomainError, match="agree"):
             mixing_entropy(
-                MixingScenario.from_compartments(comps, overlaps=overlaps)
+                MixingScenario.from_compartments(comps, overlaps=overlaps, model=model)
             )
+
+    @pytest.mark.parametrize("model", list(CountingModel))
+    def test_overlap_of_an_absent_species_is_kept_but_unused(self, model):
+        # "krypto" is no compartment's species: its entries never enter the
+        # rule, not even one that would disagree with the pairs present
+        comps = tuple(
+            GasCompartment(s, 100, 1.0, 1.0) for s in ("a", "b", "c")
+        )
+        present = tuple(
+            SpeciesOverlap(x, y, 0.25) for x, y in (("a", "b"), ("a", "c"), ("b", "c"))
+        )
+        absent = (SpeciesOverlap("a", "krypto", 1.0), SpeciesOverlap("b", "krypto", 0.5))
+        plain = MixingScenario.from_compartments(comps, overlaps=present, model=model)
+        extra = MixingScenario.from_compartments(
+            comps, overlaps=present + absent, model=model
+        )
+        assert extra.overlaps == present + absent
+        assert extra.pair_overlap("a", "krypto") == 1.0
+        assert mixing_entropy(extra) == mixing_entropy(plain)
 
     def test_overlap_table_matches_pairs_given_in_either_order(self):
         names = [f"sp{k}" for k in range(12)]
@@ -575,23 +605,31 @@ class TestEntropyBeyondFloatRange:
 
 
 class TestOneReportBuilder:
-    """Every MixingReport is made by mixing._report: with it refusing, both
-    calls raise under every model and form, and the report each returns is
-    the one it built."""
+    """Every MixingReport is made by mixing._report, and every species term
+    by mixing._species_term: with either refusing, each call that goes
+    through it raises under every model, form and weighting, and the others
+    still succeed.  The report each call returns is the one _report built."""
 
     @pytest.mark.parametrize("model", list(CountingModel))
     @pytest.mark.parametrize("form", list(StirlingForm))
-    def test_both_calls_build_through_it(self, monkeypatch, model, form):
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    # the patched name, and how many of the two calls go through it:
+    # partition_change_entropy has no species term
+    @pytest.mark.parametrize("name, users", [("_report", 2), ("_species_term", 1)])
+    def test_both_calls_build_through_it(
+        self, monkeypatch, name, users, model, form, weighting
+    ):
         scenario = MixingScenario.from_compartments(
             (GasCompartment("a", 6, 1.0, 1.0), GasCompartment("b", 4, 2.0, 1.0)),
             model=model,
             stirling_form=form,
+            weighting=weighting,
         )
         calls = (
             lambda: mixing_entropy(scenario),
             lambda: partition_change_entropy(12, 1.0, 1.0, 2, model, form),
         )
-        build = mixing._report
+        build = getattr(mixing, name)
         built = []
 
         def refuse(*args):
@@ -601,10 +639,15 @@ class TestOneReportBuilder:
             built.append(build(*args))
             return built[-1]
 
-        monkeypatch.setattr(mixing, "_report", refuse)
-        for call in calls:
+        monkeypatch.setattr(mixing, name, refuse)
+        for call in calls[:users]:
             with pytest.raises(AssertionError, match="refused"):
                 call()
-        monkeypatch.setattr(mixing, "_report", record)
+        for call in calls[users:]:
+            call()
+        monkeypatch.setattr(mixing, name, record)
         for call in calls:
-            assert call() is built[-1]
+            report = call()
+            if name == "_report":
+                assert report is built[-1]
+        assert len(built) == users
