@@ -18,7 +18,8 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines, in __all__ order
+# submodule -> the public names it defines: the one list of them.  Each
+# submodule's __all__ is its row plus the names public in it alone.
 _EXPORTS = {
     "errors": ("DomainError", "OracleSizeError", "ScenarioParseError"),
     "combinatorics": (

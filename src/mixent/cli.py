@@ -9,7 +9,8 @@ Exit codes: 0 on success, 1 when a domain guard rejects the inputs
 numbers beyond floating-point range), 2 for usage errors and scenario
 files that cannot be read or parsed.  Each error is one line on stderr.
 main() returns the code for every command line; only --help exits.  argparse
-declares every argument rule, so a usage error is decided before
+declares every argument rule but one, --constant with --levels, which the
+entropy handler checks first, so a usage error is decided before
 MIXENT_KB or a scenario file is read.
 
 Entropy and work outputs are in units of k_B (nats) by default.  Set the
@@ -199,6 +200,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    if args.levels is not None and args.constant is not None:
+        raise _UsageError(
+            "mixent entropy: argument --constant: not allowed with argument --levels"
+        )
     scale, units = _resolve_units()
     model = CountingModel(args.model)
     form = StirlingForm(args.stirling_form)
@@ -206,7 +211,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         ensemble = EnsembleSpec(levels=args.levels, N=args.N, T=args.T)
         result = entropy_from_levels(ensemble, model, form)
     else:
-        result = ideal_gas_entropy(args.N, args.V, args.T, model, form, args.constant)
+        constant = 0.0 if args.constant is None else args.constant
+        result = ideal_gas_entropy(args.N, args.V, args.T, model, form, constant)
     print(f"S = {_fmt(result.S * scale)}")
     print(f"per_particle = {_fmt(result.per_particle * scale)}")
     print(f"model = {result.model.value}")
@@ -328,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=[f.value for f in StirlingForm],
         default=StirlingForm.TWO_TERM.value,
     )
-    entropy.add_argument("--constant", type=float, default=0.0)
+    entropy.add_argument("--constant", type=float, help="ideal gas only")
     entropy.set_defaults(handler=_cmd_entropy)
 
     mix = sub.add_parser("mix", help="entropy change of a scenario file")

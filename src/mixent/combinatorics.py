@@ -18,29 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import _check
+from . import _EXPORTS, _check
 from ._check import _INF
 from .errors import DomainError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "Count",
-    "OccupationVector",
-    "StirlingForm",
-    "DEFAULT_EXACT_LIMIT",
-    "MAX_EXACT_LIMIT",
-    "binomial",
-    "classical_symbol_states",
-    "log_factorial_exact",
-    "log_factorial_stirling",
-    "multiplicity_bose_approx",
-    "multiplicity_bose_exact",
-    "multiplicity_distinguishable",
-    "multiplicity_gibbs_corrected",
-    "multiplicity_gibbs_corrected_exact",
-]
+__all__ = [*_EXPORTS["combinatorics"], "DEFAULT_EXACT_LIMIT", "MAX_EXACT_LIMIT"]
 
 # Largest particle number for which big-integer values are materialized by
 # default.  Above this the integer is still well defined but its decimal

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["DomainError", "OracleSizeError", "ScenarioParseError"]
+from . import _EXPORTS
+
+__all__ = [*_EXPORTS["errors"]]
 
 
 class DomainError(ValueError):

@@ -25,24 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable
 
-from . import _check
+from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
 from .combinatorics import StirlingForm, _log_multinomial
 from .errors import DomainError
 from .statmech import CountingModel, EntropyResult, _entropy_result, _ideal_gas_S
 
-__all__ = [
-    "GasCompartment",
-    "SpeciesOverlap",
-    "Weighting",
-    "MixingScenario",
-    "MixingReport",
-    "partition_change_entropy",
-    "mixing_entropy",
-    "overlap_weighted_mixing_entropy",
-    "separation_work",
-    "spin_field_scenario",
-]
+__all__ = [*_EXPORTS["mixing"]]
 
 _REL_TOL = 1e-12
 
@@ -178,6 +167,8 @@ class MixingScenario:
             n_sum += c.N
         _check.count("total particle number", n_sum)
         v_sum = _check.fsum([c.V for c in comps], math.inf)
+        if v_sum == math.inf:
+            raise DomainError("the summed compartment volumes overflow a float")
         v_fin = v_sum if self.final_volume is None else self.final_volume
         v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):

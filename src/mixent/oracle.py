@@ -18,20 +18,15 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from . import _check, combinatorics
+from . import _EXPORTS, _check, combinatorics
 from .combinatorics import OccupationVector
 from .errors import OracleSizeError
 
 __all__ = [
+    *_EXPORTS["oracle"],
     "ASSIGNMENT_GUARD",
     "INDISTINCT_GUARD",
-    "CellSpec",
-    "EnumerationResult",
     "IdentityCheck",
-    "VerificationReport",
-    "enumerate_assignments",
-    "enumerate_indistinct",
-    "verify_counting",
     "FIXED_CELL_SUITE",
 ]
 

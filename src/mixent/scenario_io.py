@@ -36,12 +36,13 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import _EXPORTS
 from .combinatorics import StirlingForm
 from .errors import DomainError, ScenarioParseError
 from .mixing import GasCompartment, MixingScenario, SpeciesOverlap, Weighting
 from .statmech import CountingModel
 
-__all__ = ["ScenarioFile", "parse_scenario", "load_scenario", "serialize_scenario"]
+__all__ = [*_EXPORTS["scenario_io"]]
 
 _SPECIES_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
 

@@ -30,25 +30,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from . import _check
+from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
 from .combinatorics import StirlingForm
 from .errors import DomainError
 
-__all__ = [
-    "CountingModel",
-    "LevelSpec",
-    "EnsembleSpec",
-    "EntropyResult",
-    "partition_function",
-    "log_partition_function",
-    "occupations",
-    "internal_energy",
-    "entropy_from_levels",
-    "ideal_gas_entropy",
-    "gibbs_shannon_entropy",
-    "helmholtz_free_energy",
-]
+__all__ = [*_EXPORTS["statmech"]]
 
 
 class CountingModel(Enum):

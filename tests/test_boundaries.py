@@ -9,9 +9,14 @@ code 1 or 2 with one line on stderr.
 from __future__ import annotations
 
 import dataclasses
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixent import (
     CellSpec,
@@ -197,7 +202,7 @@ CONTRACT = [
      "V / parts underflows to 0 at V = 5e-324, parts = 2"),
     ("scenario-volume-sum",
      lambda: parse_scenario("compartment = a 1 1e308 1.0\ncompartment = b 1 1e308 1.0"),
-     "final_volume must be finite and > 0, got inf"),
+     "the summed compartment volumes overflow a float"),
     ("mixing-entropy-sum",
      lambda: mixing_entropy(MixingScenario.from_compartments(
          (GasCompartment(s, 10**305, 1e306, 1.0) for s in "abc"),
@@ -400,3 +405,57 @@ def test_cli_exit_code_contract(capsys, tmp_path, monkeypatch):
         assert code in (0, 1, 2), argv
         assert err.count("\n") <= 1, (argv, err)
         assert (code == 0) == (err == ""), (argv, err)
+
+
+SCENARIO_TEXTS = [
+    path.read_text(encoding="utf-8")
+    for path in sorted(SCENARIO.parent.glob("*.scenario"))
+]
+# the characters the grammar reads, and any other
+_EDIT_CHARS = st.one_of(
+    st.sampled_from("0123456789.-+eE=# \t\nabinf_"), st.characters(codec="utf-8")
+)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A committed scenario text after 1-4 edits: insert, delete or replace
+    characters, duplicate a line, or swap two lines."""
+    text = draw(st.sampled_from(SCENARIO_TEXTS))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "duplicate", "swap"]))
+        if kind in ("duplicate", "swap"):
+            lines = text.split("\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if kind == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+            continue
+        start = draw(st.integers(0, len(text)))
+        stop = start if kind == "insert" else draw(st.integers(start, min(len(text), start + 8)))
+        new = "" if kind == "delete" else draw(st.text(_EDIT_CHARS, min_size=1, max_size=4))
+        text = text[:start] + new + text[stop:]
+    return text
+
+
+# hypothesis runs the body once per example, so no function-scoped fixture
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(text=_mutated_scenarios())
+def test_mutated_scenario_files_keep_the_exit_code_contract(text):
+    """Structural edits of real scenario files: exit 0, 1 or 2, one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "mutated.scenario")
+        path.write_text(text, encoding="utf-8", newline="")
+        for argv in (["mix"], ["mix", "--format", "json"], ["sweep-overlap", "--points", "3"]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--scenario", str(path)])
+            err = err.getvalue()
+            assert code in (0, 1, 2), (argv, text)
+            assert "Traceback" not in err, (argv, text)
+            if code == 0:
+                assert err == "", (argv, text, err)
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n"), (argv, text, err)

@@ -136,6 +136,21 @@ class TestEntropy:
         )
         assert code == 2
 
+    def test_constant_is_for_the_ideal_gas_only(self, capsys):
+        argv = ("entropy", "--N", "10", "--T", "1", "--levels", "0:1", "--constant", "5")
+        assert run(capsys, *argv) == (
+            2,
+            "",
+            "usage error: mixent entropy: argument --constant: "
+            "not allowed with argument --levels\n",
+        )
+        _, plain, _ = run(capsys, "entropy", "--N", "10", "--T", "1", "--V", "2")
+        code, shifted, _ = run(
+            capsys, "entropy", "--N", "10", "--T", "1", "--V", "2", "--constant", "5"
+        )
+        S = float(plain.split("\n")[0].removeprefix("S = "))
+        assert (code, shifted.split("\n")[0]) == (0, f"S = {S + 5:.12g}")
+
     def test_missing_volume(self, capsys):
         code, _, err = run(capsys, "entropy", "--N", "10", "--T", "1.0")
         assert code == 2
@@ -551,6 +566,8 @@ class TestTopLevel:
             "count binomial x 2",
             "oracle-check --max-n y",
             "oracle-check --verbose",
+            # the one rule the entropy handler checks, before MIXENT_KB
+            "entropy --N 10 --T 1 --levels 0:1,1:2 --constant 5",
         ],
     )
     def test_usage_errors_return_2(self, capsys, monkeypatch, kb, line):

@@ -212,6 +212,36 @@ def test_star_import_binds_every_public_name():
     assert set(mixent.__all__) <= set(dir(mixent))
 
 
+# names public in one submodule alone, beyond its HOME names
+EXTRAS = {
+    "combinatorics": ("DEFAULT_EXACT_LIMIT", "MAX_EXACT_LIMIT"),
+    "oracle": ("ASSIGNMENT_GUARD", "INDISTINCT_GUARD", "IdentityCheck", "FIXED_CELL_SUITE"),
+}
+
+# imports each submodule named in argv as the CLI does, without reading the
+# package first, and prints its sorted __all__ and what its star import binds
+ALL_PROBE = """
+import importlib, sys
+for module in sys.argv[1:]:
+    names = importlib.import_module(f"mixent.{module}").__all__
+    namespace = {}
+    exec(f"from mixent.{module} import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    print(module, ",".join(sorted(names)), ",".join(sorted(bound)))
+"""
+
+
+def test_submodule_all_is_its_home_names_and_extras():
+    modules = sorted(set(HOME.values()))
+    expected = []
+    for module in modules:
+        home = [name for name, where in HOME.items() if where == module]
+        names = ",".join(sorted([*home, *EXTRAS.get(module, ())]))
+        expected.append(f"{module} {names} {names}")
+    assert len(modules) == 6
+    assert _run_probe(ALL_PROBE, *modules) == expected
+
+
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'nope'"):
         mixent.nope
