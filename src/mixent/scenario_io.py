@@ -25,9 +25,12 @@ Example::
 Malformed text (unknown keys, bad numbers, wrong token counts) raises
 ScenarioParseError with file/line/column.  Lines are read in file order
 and every value is converted on its own line, so the first malformed line
-is the one reported.  Values that lex fine but break physics (negative
-volume, mismatched temperatures) raise DomainError from the scenario
-constructors instead; the CLI maps the two cases to different exit codes.
+is the one reported.  Once every line has parsed, an overlap row that
+names a species no compartment row names (most likely a typo) is a
+ScenarioParseError at that species token.  Values that lex fine but
+break physics (negative volume, mismatched temperatures) raise
+DomainError from the scenario constructors instead; the CLI maps the two
+cases to different exit codes.
 """
 
 from __future__ import annotations
@@ -174,6 +177,21 @@ def parse_scenario(
 
     if not lists["compartment"]:
         raise ScenarioParseError("scenario declares no compartments", source=source)
+    # ``seen`` holds the species of both row kinds, so it outgrows the
+    # compartments' species only if an overlap row names another; the line
+    # and column of the first such token are worked out only then
+    held = {c.species for c in lists["compartment"]}
+    if len(seen) > len(held):
+        for lineno, raw in enumerate(_lines(text), start=1):
+            key_part, _, value_part = raw.partition("=")
+            if key_part.strip() == "overlap":
+                for m in list(re.finditer(r"\S+", value_part))[:2]:  # not q
+                    if m.group() not in held:
+                        raise fail(
+                            f"overlap names species {m.group()!r}, which no compartment holds",
+                            lineno,
+                            len(key_part) + 2 + m.start(),
+                        )
 
     # keys left out take MixingScenario's defaults
     scenario_id = options.pop("id", default_id)
@@ -227,7 +245,8 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
     Floats are written with repr, which round-trips exactly, and overlaps
     in their stored order.  A scenario the text cannot carry is a
     DomainError: an id that is not one non-empty line without leading or
-    trailing whitespace, or a species label the parser would reject.
+    trailing whitespace, a species label the parser would reject, or an
+    overlap that names a species no compartment holds.
     """
     scenario_id = scenario_file.id
     if (
@@ -241,13 +260,18 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
             "line without leading or trailing whitespace"
         )
     s = scenario_file.scenario
-    labels = {c.species for c in s.compartments}
-    labels.update([name for o in s.overlaps for name in (o.species_a, o.species_b)])
+    held = {c.species for c in s.compartments}
+    labels = held.union([name for o in s.overlaps for name in (o.species_a, o.species_b)])
     for label in sorted(labels):  # each label once, in a fixed order
         if _SPECIES_RE.match(label) is None:
             raise DomainError(
                 f"species {label!r} cannot be serialized: a label is letters, "
                 "digits and _ . + - only"
+            )
+        if label not in held:
+            raise DomainError(
+                f"species {label!r} cannot be serialized: an overlap names it, "
+                "but no compartment holds it"
             )
     lines = [
         f"id = {scenario_id}",

@@ -293,22 +293,50 @@ class TestMix:
         _, out2, _ = run(capsys, "mix", "--scenario", path)
         assert out1 == out2
 
-    def test_parse_error_exit_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("what even is this\n", ":1:1: expected 'key = value'"),
+            (
+                "id = short\ncompartment = a 10 1.0\n",
+                ":2:15: compartment needs '<species> <N> <V> <T>', got 3 tokens",
+            ),
+            (
+                "compartment = argon 10 1.0 1.0\ncompartment = krypton 10 1.0 1.0\n"
+                "overlap = argon krypto 1.0\n",
+                ":3:17: overlap names species 'krypto', which no compartment holds",
+            ),
+        ],
+        ids=["no-equals", "short-compartment", "overlap-typo"],
+    )
+    def test_parse_error_exit_2(self, capsys, tmp_path, text, message):
         bad = tmp_path / "bad.scenario"
-        bad.write_text("what even is this\n", encoding="utf-8")
-        code, _, err = run(capsys, "mix", "--scenario", str(bad))
-        assert code == 2
-        assert "bad.scenario:1" in err
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "mix", "--scenario", str(bad))
+        assert (code, out, err) == (2, "", f"error: {bad}{message}\n")
 
-    def test_domain_error_exit_1(self, capsys, tmp_path):
-        bad = tmp_path / "hot.scenario"
-        bad.write_text(
-            "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 2.0\n",
-            encoding="utf-8",
-        )
-        code, _, err = run(capsys, "mix", "--scenario", str(bad))
-        assert code == 1
-        assert "isothermal" in err
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            (
+                "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 2.0\n",
+                "scenario must be isothermal: ",
+            ),
+            (
+                "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 1.0\n"
+                "compartment = c 10 1.0 1.0\noverlap = a b 0.25\n"
+                "overlap = a c 0.75\noverlap = b c 0.25\n",
+                "pairwise overlaps must all agree when more than two species mix; ",
+            ),
+        ],
+        ids=["unequal-temperatures", "unequal-overlaps"],
+    )
+    def test_domain_error_exit_1(self, capsys, tmp_path, text, prefix):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "mix", "--scenario", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(

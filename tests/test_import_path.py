@@ -44,14 +44,20 @@ if argv:
 """
 
 
-def _run_probe(script: str, *args: str) -> list[str]:
+def _env() -> dict[str, str]:
+    """This environment, with ``src`` first on PYTHONPATH and reduced units."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    env.pop("MIXENT_KB", None)
+    return env
+
+
+def _run_probe(script: str, *args: str) -> list[str]:
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=60,
         check=True,
     )
@@ -140,6 +146,35 @@ def test_modules_probe_sees_fractions_once_used():
         "import mixent\nmixent.multiplicity_gibbs_corrected_exact((2,), (1,))\n",
     )
     assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
+
+
+# `python -m mixent.cli` runs cli.py's `sys.exit(main())`, which in-process
+# tests never reach: the exit status, stdout to the byte, one stderr line
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("mix", "--scenario", "scenarios/distinct_full.scenario"), 0),
+        (("entropy", "--N", "10", "--T", "1", "--V", "-1"), 1),
+        (("count", "frobnicate", "1", "2"), 2),
+    ],
+    ids=["exit-0", "exit-1", "exit-2"],
+)
+def test_python_m_mixent_cli(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixent.cli", *argv],
+        capture_output=True,
+        cwd=SCENARIO.parents[1],
+        env=_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code
+    if code == 0:
+        golden = Path(__file__).resolve().parent / "golden" / "distinct_full.mix.csv"
+        assert (proc.stdout, proc.stderr) == (golden.read_bytes(), b"")
+    else:
+        assert proc.stdout == b""
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        assert b"Traceback" not in proc.stderr
 
 
 # every public name but __version__ -> the submodule that defines it

@@ -1,6 +1,6 @@
 """The running interpreter reproduces the committed digest of the seeded
-result grid in ``interpreter_grid.py``, which CI also runs directly under
-every supported interpreter."""
+result grid in ``interpreter_grid.py``.  Run under each supported
+interpreter, this test shows that they all give the same bits."""
 
 from __future__ import annotations
 

@@ -125,6 +125,7 @@ class TestParseErrors:
 # line 3: (the bad line, line, column, message).  Expected values are those
 # the parser has always reported, including for runs of spaces and tabs.
 _PRELUDE = "# header\ncompartment = a 10 1.0 1.0\n"
+_ABSENT = "overlap names species {!r}, which no compartment holds"
 ERROR_TABLE = [
     ("compartment = b ten 1.0 1.0", 3, 17, "N must be an integer, got 'ten'"),
     ("compartment = b 1.5 1.0 1.0", 3, 17, "N must be an integer, got '1.5'"),
@@ -209,6 +210,19 @@ ERROR_TABLE = [
         24,
         "T must be a number, got 'cold'",
     ),
+    # an overlap row naming a species no compartment row names is found once
+    # every line has parsed: a later malformed line is reported first, and
+    # the physics (here unequal temperatures) is checked only after it
+    ("overlap = a krypto 1.0", 3, 13, _ABSENT.format("krypto")),
+    ("overlap =  argn\ta 1.0", 3, 12, _ABSENT.format("argn")),
+    (
+        "overlap = a b 0.5\ncompartment = b 10 1.0 1.0\noverlap = c a 0.5",
+        5,
+        11,
+        _ABSENT.format("c"),
+    ),
+    ("overlap = a zz 0.5\ncompartment = b 10 1.0 hot", 4, 24, "T must be a number, got 'hot'"),
+    ("compartment = b 10 1.0 2.0\noverlap = b zz 0.5", 4, 13, _ABSENT.format("zz")),
 ]
 
 
@@ -353,6 +367,20 @@ class TestRoundTrip:
         with pytest.raises(DomainError, match="^species 'b c' "):
             serialize_scenario(ScenarioFile("demo", scenario))
 
+    def test_overlap_species_no_compartment_holds_is_refused(self):
+        # MixingScenario keeps the entry; the text could not carry it back
+        scenario = MixingScenario(
+            compartments=(
+                GasCompartment("argon", 10, 1.0, 1.0),
+                GasCompartment("krypton", 10, 1.0, 1.0),
+            ),
+            overlaps=(SpeciesOverlap("argon", "krypto", 1.0),),
+        )
+        assert scenario.overlaps == (SpeciesOverlap("argon", "krypto", 1.0),)
+        message = "^species 'krypto' cannot be serialized: an overlap names it, but no "
+        with pytest.raises(DomainError, match=message):
+            serialize_scenario(ScenarioFile("typo", scenario))
+
     @pytest.mark.parametrize(
         "scenario_id", ["", "a\nb", " padded ", "a\u2028", "a\rb", "a\r\nb"]
     )
@@ -418,11 +446,18 @@ class TestRoundTrip:
         @given(_scenario_files())
         def check(sf):
             s = sf.scenario
-            seen.update((s.model, s.stirling_form, s.weighting))
-            assert parse_scenario(serialize_scenario(sf)) == sf
+            held = {c.species for c in s.compartments}
+            named = {name for o in s.overlaps for name in (o.species_a, o.species_b)}
+            if named <= held:
+                seen.update((s.model, s.stirling_form, s.weighting))
+                assert parse_scenario(serialize_scenario(sf)) == sf
+            else:
+                seen.add("refused")
+                with pytest.raises(DomainError, match="an overlap names it, but no compartment"):
+                    serialize_scenario(sf)
 
         check()
-        assert seen == {*CountingModel, *StirlingForm, *Weighting}
+        assert seen == {*CountingModel, *StirlingForm, *Weighting, "refused"}
 
     def test_readme_example_is_the_shipped_scenario(self):
         section = README.read_text(encoding="utf-8").split("## Scenario files", 1)[1]
