@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import os
 import sys
@@ -283,6 +284,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one tree per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mixent",

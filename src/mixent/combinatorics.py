@@ -274,10 +274,11 @@ def _multinomial(
     it over two cells of one substate each, g**n over one cell of g.
     Exact for N <= limit, as a chain of binomials comb(n_1 + ... + n_i,
     n_i) * g_i^n_i that never divides.  Beyond it log-only: the fsum of
-    the per-cell n_i ln g_i and ``_log_multinomial`` under EXACT, so the
-    same bits on every interpreter (``sum`` compensates from Python 3.12
-    on).  N may leave the float range although every n_i fits; the error
-    then calls it ``total``.
+    the per-cell n_i ln g_i and ``_log_multinomial`` under EXACT (left out
+    where one cell holds all N, as it is then exactly +0.0), so the same
+    bits on every interpreter (``sum`` compensates from Python 3.12 on).
+    N may leave the float range although every n_i fits; the error then
+    calls it ``total``.
     """
     N = sum(ns)
     if N <= limit:
@@ -289,7 +290,8 @@ def _multinomial(
         return Count._exact(value)
     _check.count(total, N, 0)
     terms = [n_i * math.log(g_i) for n_i, g_i in zip(ns, degs)]
-    terms.append(_log_multinomial(ns, StirlingForm.EXACT))
+    if max(ns) != N:
+        terms.append(_log_multinomial(ns, StirlingForm.EXACT))
     return Count.log_only(_check.fsum(terms, _INF))
 
 

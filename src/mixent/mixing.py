@@ -298,7 +298,7 @@ def _species_term(
     """
     table = scenario._overlap_table
     pairs = itertools.combinations(sorted(per_species), 2)  # none for one species
-    values = {table.get(pair, 0.0) for pair in pairs}
+    values = set(map(table.get, pairs, itertools.repeat(0.0)))
     if len(values) > 1:
         raise DomainError(
             "pairwise overlaps must all agree when more than two species mix; "

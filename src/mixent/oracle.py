@@ -102,13 +102,15 @@ def _decode(tally: Counter[int], N: int, m: int) -> EnumerationResult:
     """The one way an EnumerationResult is made: the key tally turned back
     into occupation vectors (base-(N+1) digits), and its total."""
     base = N + 1
+    exact = OccupationVector._exact
     grouped = {}
     for key, count in tally.items():
         occ = []
-        for _ in range(m):
+        for _ in range(m - 1):
             key, n = divmod(key, base)
             occ.append(n)
-        grouped[OccupationVector._exact(tuple(occ))] = count
+        occ.append(key)  # every digit is at most N, so the last quotient is one
+        grouped[exact(tuple(occ))] = count
     return EnumerationResult(by_occupation=grouped, total=sum(tally.values()))
 
 
@@ -243,7 +245,8 @@ def verify_counting(
     Checks, per occupation vector and in aggregate:
       * labeled assignment counts == multiplicity_distinguishable
       * labeled total == classical_symbol_states of the pooled substates
-      * multiset pattern counts == product of multiplicity_bose_exact
+      * multiset pattern counts == product of multiplicity_bose_exact,
+        called once per distinct (n_i, g_i) of the case
     Failures carry the first counterexample found.
     """
     cells = _cell_spec(cells)
@@ -263,12 +266,19 @@ def verify_counting(
         labeled.total == predicted_total,
         f"enumerated {labeled.total}, formula {predicted_total}",
     )
+    # one public call per distinct (n_i, g_i); the values live for this call only
+    bose_exact = combinatorics.multiplicity_bose_exact
+    bose_values: dict[tuple[int, int], int | None] = {}
+
+    def bose_product(occ: OccupationVector) -> int:
+        product = 1
+        for pair in zip(occ.counts, degs):
+            if pair not in bose_values:
+                bose_values[pair] = bose_exact(*pair).value
+            product *= bose_values[pair]
+        return product
+
     bose = _occupation_check(
-        "bose-multiplicity",
-        enumerate_indistinct(N, cells),
-        lambda occ: math.prod(
-            combinatorics.multiplicity_bose_exact(n_i, g_i).value
-            for n_i, g_i in zip(occ, degs)
-        ),
+        "bose-multiplicity", enumerate_indistinct(N, cells), bose_product
     )
     return VerificationReport(N=N, cells=cells, checks=(distinguishable, total, bose))

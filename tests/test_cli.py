@@ -6,11 +6,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import mixent.combinatorics
+from mixent import cli
 from mixent.cli import KB_SI, main
 from mixent.combinatorics import Count
 from mixent.oracle import FIXED_CELL_SUITE
@@ -612,3 +616,32 @@ class TestTopLevel:
             main(["count", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: mixent count")
+
+
+class TestOneParserPerProcess:
+    # count, mix, a usage error and entropy, in that order
+    ARGVS = (
+        ("count", "binomial", "12", "5"),
+        ("mix", "--scenario", str(SCENARIO_DIR / "distinct_full.scenario")),
+        ("count", "frobnicate", "1", "2"),
+        ("entropy", "--N", "100", "--T", "1.0", "--V", "2.0"),
+    )
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.delenv("MIXENT_KB", raising=False)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "mixent.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            for argv in self.ARGVS
+        ]
+        together = [run(capsys, *argv) for argv in self.ARGVS]
+        assert together == [(p.returncode, p.stdout, p.stderr) for p in alone]
+        assert [code for code, _, _ in together] == [0, 0, 2, 0]

@@ -561,6 +561,38 @@ class TestLogOnlyCounts:
             assert binomial(N, n, exact_limit=exact_limit) == cells
             assert multiplicity_bose_exact(n, g, exact_limit=exact_limit) == cells
 
+    def test_one_nonzero_cell_skips_a_zero_multinomial(self):
+        # ln(N! / N!) is exactly +0.0 under EXACT, so leaving it out of the
+        # fsum changes no bit; zero cells on either side of the full one
+        rng = random.Random(20261020)
+        cases = [((0, 6000, 0), (1, 2, 3)), ((6000,), (3,)), ((1,), (1,))]
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            ns = [0] * m
+            ns[rng.randrange(m)] = rng.choice(
+                (rng.randint(1, 60), rng.randint(1, 10**12), rng.randint(1, 10**300))
+            )
+            degs = [rng.choice((1, 2, 3, rng.randint(1, 10**9))) for _ in range(m)]
+            cases.append((tuple(ns), tuple(degs)))
+        for ns, degs in cases:
+            terms = [n * math.log(g) for n, g in zip(ns, degs)]
+            expected = math.fsum(terms + [_log_multinomial(ns, StirlingForm.EXACT)])
+            count = multiplicity_distinguishable(ns, degs, exact_limit=0)
+            assert repr(count.log_value) == repr(expected), (ns, degs)
+        assert repr(classical_symbol_states(6000, 3, exact_limit=0).log_value) == repr(
+            6000 * math.log(3)
+        )
+
+    def test_one_nonzero_cell_forms_no_log_multinomial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("formed ln(N! / N!)")
+
+        monkeypatch.setattr(combinatorics, "_log_multinomial", refuse)
+        assert classical_symbol_states(6000, 3, exact_limit=0).is_log_only
+        assert multiplicity_bose_exact(6000, 1, exact_limit=0).log_value == 0.0
+        with pytest.raises(AssertionError, match="formed"):
+            multiplicity_distinguishable((1, 6000), (1, 1), exact_limit=0)
+
     def test_overflowing_terms_are_a_domain_error(self):
         # each cell term is about 1e308; their sum leaves the float range
         g = 2**144_270

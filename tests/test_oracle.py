@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 import itertools
 import math
@@ -316,6 +317,94 @@ class TestVerifyCounting:
         )
         report = verify_counting(2, (2, 2))
         assert not report.ok
+
+
+@pytest.fixture
+def bose_calls(monkeypatch):
+    """The (n, g) of every multiplicity_bose_exact call, in call order."""
+    original = mixent.combinatorics.multiplicity_bose_exact
+    calls = []
+
+    def recording(n, g, **kwargs):
+        calls.append((n, g))
+        return original(n, g, **kwargs)
+
+    monkeypatch.setattr(mixent.combinatorics, "multiplicity_bose_exact", recording)
+    return calls
+
+
+class TestOneBoseCallPerPair:
+    """verify_counting asks multiplicity_bose_exact once per distinct
+    (n, g) of the case, each time it is called, and nothing else changes."""
+
+    @pytest.mark.parametrize(
+        "N, degs, calls",
+        [
+            (3, (1, 1, 1), 4),  # 30 calls with one per cell per pattern
+            (2, (1, 1, 1), 3),
+            (4, (2, 2), 5),
+            (4, (2, 1), 10),  # every (n, g) of these already distinct
+            (3, (3, 2), 8),
+            (0, (1,), 1),
+        ],
+        ids=str,
+    )
+    def test_one_call_per_distinct_pair(self, bose_calls, N, degs, calls):
+        pairs = {
+            pair
+            for vector in enumerate_indistinct(N, degs).by_occupation
+            for pair in zip(vector.counts, degs)
+        }
+        assert verify_counting(N, degs).ok
+        assert len(bose_calls) == len(set(bose_calls)) == calls
+        assert set(bose_calls) == pairs
+
+    def test_no_value_outlives_a_call(self, bose_calls):
+        first = verify_counting(3, (1, 1, 1))
+        made = list(bose_calls)
+        second = verify_counting(3, (1, 1, 1))
+        assert first == second
+        assert bose_calls == made + made
+
+    @pytest.mark.parametrize("N, degs", [(3, (2, 2)), (4, (2, 1)), (2, (3, 2))], ids=str)
+    def test_one_corrupted_pair_is_caught(self, monkeypatch, N, degs):
+        original = mixent.combinatorics.multiplicity_bose_exact
+        bad = (2, 2)  # only this pair is wrong
+
+        def corrupted(n, g, **kwargs):
+            count = original(n, g, **kwargs)
+            return Count.from_int(count.value + 1) if (n, g) == bad else count
+
+        monkeypatch.setattr(mixent.combinatorics, "multiplicity_bose_exact", corrupted)
+        report = verify_counting(N, degs)
+        assert [c.passed for c in report.checks] == [True, True, False]
+        detail = report.checks[2].detail
+        counts = ast.literal_eval(detail[len("occupation "):detail.index(":")])
+        assert bad in set(zip(counts, degs))
+        assert "enumerated" in detail and "formula" in detail
+
+    def test_callees_are_looked_up_at_call_time(self, monkeypatch):
+        seen = []
+        for module, name in (
+            (mixent.oracle, "enumerate_assignments"),
+            (mixent.oracle, "enumerate_indistinct"),
+            (mixent.combinatorics, "multiplicity_distinguishable"),
+            (mixent.combinatorics, "classical_symbol_states"),
+            (mixent.combinatorics, "multiplicity_bose_exact"),
+        ):
+            def wrapped(*args, _original=getattr(module, name), _name=name, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+        assert verify_counting(2, (2, 1)).ok
+        assert set(seen) == {
+            "enumerate_assignments",
+            "enumerate_indistinct",
+            "multiplicity_distinguishable",
+            "classical_symbol_states",
+            "multiplicity_bose_exact",
+        }
 
 
 class TestCellSpec:
