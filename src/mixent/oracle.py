@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -79,6 +78,9 @@ class EnumerationResult:
 
 # most suffix keys enumerate_assignments builds at once; bounds its memory
 _SUFFIX_BLOCK = 4096
+# most keys enumerate_assignments keeps in prefix key blocks, its suffix
+# block included; a block that does not fit is built, fed and dropped
+_MEMO_KEYS = 2**15
 
 
 def _substate_weights(cells: CellSpec, N: int) -> tuple[int, ...]:
@@ -125,11 +127,19 @@ def enumerate_assignments(
     The keys of the last k particles are built once, one particle at a
     time while G**k fits _SUFFIX_BLOCK, each from its parent's key plus one
     weight, in itertools.product order; k >= 1 for N >= 1, a one-particle
-    suffix being the weight tuple itself however large G is.  Each key of
-    the first N - k particles is then added to every one of them by
-    operator.add inside Counter.update, so the per-assignment work runs in
-    C.  Raises OracleSizeError when the assignment count exceeds
-    ASSIGNMENT_GUARD (a single substate counting as two).
+    suffix being the weight tuple itself however large G is.  Each distinct
+    key of the first N - k particles, streamed from itertools.product, gets
+    one block, its sum with every suffix key, and Counter.update is fed
+    that block, so an assignment costs the counting of one prebuilt key, in
+    C.  Prefixes that give the same occupation share a block.  Blocks are
+    kept for this call while the kept keys, the suffix block (the block of
+    the empty prefix) included, stay within _MEMO_KEYS; a block that does
+    not fit is built, fed and dropped.  Memory is thus one suffix block
+    plus at most _MEMO_KEYS keys (with a prefix, G**2 is within the guard,
+    so a block is smaller than _MEMO_KEYS).  The keys still arrive one per
+    assignment, in itertools.product order.  Raises OracleSizeError when
+    the assignment count exceeds ASSIGNMENT_GUARD (a single substate
+    counting as two).
     """
     N = _check.integer("N", N)
     cells = _cell_spec(cells)
@@ -147,8 +157,16 @@ def enumerate_assignments(
         suffix = [key + w for key in suffix for w in weight]
         k += 1
     tally: Counter[int] = Counter()
+    blocks = {0: suffix}
+    room = _MEMO_KEYS - len(suffix)
     for prefix in map(sum, itertools.product(weight, repeat=N - k)):
-        tally.update(map(operator.add, itertools.repeat(prefix), suffix))
+        block = blocks.get(prefix)
+        if block is None:
+            block = [prefix + key for key in suffix]
+            if len(block) <= room:
+                blocks[prefix] = block
+                room -= len(block)
+        tally.update(block)
     result = _decode(tally, N, len(cells))
     if result.total != G**N:
         raise AssertionError(f"enumeration is broken: visited {result.total} of {G**N}")

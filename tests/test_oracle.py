@@ -156,9 +156,11 @@ class TestReferenceEquivalence:
     def test_matches_per_assignment_loop(self, degs):
         for N in reference_cases(degs):
             labeled = enumerate_assignments(N, degs)
-            assert (labeled.by_occupation, labeled.total) == naive_assignments(
-                N, degs
-            ), (N, degs)
+            expected = naive_assignments(N, degs)
+            assert (labeled.by_occupation, labeled.total) == expected, (N, degs)
+            # first seen first, in itertools.product order: the key blocks
+            # feed the tally in the order the assignments come
+            assert list(labeled.by_occupation) == list(expected[0]), (N, degs)
             unlabeled = enumerate_indistinct(N, degs)
             assert (
                 unlabeled.by_occupation,
@@ -194,6 +196,19 @@ class TestIndependence:
             tracemalloc.stop()
         assert result.total == 5**9
         assert peak < 1_000_000
+
+    def test_kept_key_blocks_are_capped(self):
+        # 8^4 = 4096 suffix keys and 36 distinct 2-particle prefix keys:
+        # keeping every block holds 147k keys (a 6.4 MB peak on 3.11), the
+        # cap of 2**15 keys about 2 MB
+        tracemalloc.start()
+        try:
+            result = enumerate_assignments(6, (1,) * 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.total == 8**6
+        assert peak < 3_000_000
 
 
 class TestCheckedOnce:
@@ -489,3 +504,39 @@ class TestEveryConfigurationCountedOnce:
         result = enumerate_assignments(1, (10**5,))
         assert tallies == [[10**5]]
         assert result.by_occupation == {occ(1): 10**5}
+
+
+# more distinct prefix keys than the default cap keeps blocks for: a suffix
+# of 4^6 = 4096 keys and 10 distinct 2-particle prefix keys, against room
+# for 2**15 / 4096 = 8 blocks, the suffix block included
+OVERFLOW_CASE = (8, (1, 1, 1, 1))
+
+
+def assignment_reference(N, degs):
+    if (N, degs) == (2, (4096, 1)):
+        # 4097^2 assignments are too many for the per-assignment loop
+        return {occ(2, 0): 4096**2, occ(1, 1): 2 * 4096, occ(0, 2): 1}, 4097**2
+    return naive_assignments(N, degs)
+
+
+class TestKeyBlockCap:
+    def test_overflow_case_overflows_the_default_cap(self):
+        N, degs = OVERFLOW_CASE
+        k = block_depth(sum(degs))
+        prefix_keys = len(naive_assignments(N - k, degs)[0])
+        assert (prefix_keys, mixent.oracle._MEMO_KEYS // sum(degs) ** k) == (10, 8)
+
+    @pytest.mark.parametrize(
+        "memo_keys",
+        [0, mixent.oracle._SUFFIX_BLOCK, mixent.oracle._MEMO_KEYS],
+        ids=["no-room", "seed-only", "default"],
+    )
+    @pytest.mark.parametrize("N, degs", [*COUNTED_ONCE_CASES, OVERFLOW_CASE], ids=str)
+    def test_every_cap_feeds_one_key_per_assignment(
+        self, monkeypatch, tallies, memo_keys, N, degs
+    ):
+        # blocks kept, shared or built and dropped: the tally sees the same keys
+        monkeypatch.setattr(mixent.oracle, "_MEMO_KEYS", memo_keys)
+        result = enumerate_assignments(N, degs)
+        assert [sum(received) for received in tallies] == [sum(degs) ** N]
+        assert (result.by_occupation, result.total) == assignment_reference(N, degs)
