@@ -22,11 +22,17 @@ Example::
     compartment = krypton 1000 0.5 1.0
     overlap = argon krypton 0.0
 
+Each list key (``compartment``, ``overlap``) is declared once, as one row
+of the parser's ``_LISTS`` table, which parsing, the held-species check
+and serialization all read.  A token a row converts as a species names
+one; outside ``compartment`` rows it must name a species that some
+compartment holds.
+
 Malformed text (unknown keys, bad numbers, wrong token counts) raises
 ScenarioParseError with file/line/column.  Lines are read in file order
 and every value is converted on its own line, so the first malformed line
-is the one reported.  Once every line has parsed, an overlap row that
-names a species no compartment row names (most likely a typo) is a
+is the one reported.  Once every line has parsed, a row that names a
+species no compartment row names (an overlap row with a typo, say) is a
 ScenarioParseError at that species token.  Values that lex fine but
 break physics (negative volume, mismatched temperatures) raise
 DomainError from the scenario constructors instead; the CLI maps the two
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from . import _EXPORTS
@@ -94,21 +101,39 @@ _SCALARS = {
     "final_volume": float,
     "id": str,
 }
-# list key -> (layout, (name in messages, converter) per token, convert, make)
+# list key -> (layout, (name in messages, converter) per token, convert,
+# make, the MixingScenario field its objects fill, writer: (key, objects) ->
+# lines).  Tokens converted by _species name species; outside compartment
+# rows, each must name a species that some compartment holds.
 _LISTS = {
     "compartment": (
         "<species> <N> <V> <T>",
         (("species", _species), ("N", int), ("V", float), ("T", float)),
         _compartment_args,
         GasCompartment,
+        "compartments",
+        lambda key, cs: [f"{key} = {c.species} {c.N} {c.V!r} {c.T!r}" for c in cs],
     ),
     "overlap": (
         "<species_a> <species_b> <q>",
         (("species", _species), ("species", _species), ("overlap", float)),
         _overlap_args,
         SpeciesOverlap,
+        "overlaps",
+        lambda key, os: [f"{key} = {o.species_a} {o.species_b} {o.overlap!r}" for o in os],
     ),
 }
+
+
+def _labels(row: tuple, objects) -> set[str]:
+    """The species that ``objects`` of a ``_LISTS`` row name: the fields of
+    its ``make`` (a dataclass that takes the row's tokens in order) filled
+    from the tokens that its ``fields`` convert with _species."""
+    labels: set[str] = set()
+    for name, (_, kind) in zip(row[3].__match_args__, row[1]):
+        if kind is _species:
+            labels.update(map(attrgetter(name), objects))
+    return labels
 
 
 @dataclass(frozen=True)
@@ -133,7 +158,7 @@ def parse_scenario(
         return ScenarioParseError(message, source=source, line=line, column=column)
 
     options: dict[str, object] = {}  # scalar key -> converted value
-    lists: dict[str, list] = {key: [] for key in _LISTS}
+    lists: dict[str, list] = {row[4]: [] for row in _LISTS.values()}  # field -> objects
     seen: set[str] = set()  # tokens found to be valid species in this parse
 
     # A well-formed list line takes the first branch; everything else
@@ -145,7 +170,7 @@ def parse_scenario(
         toks = value_part.split()
         row = _LISTS.get(key)
         if row is not None:
-            layout, fields, convert, make = row
+            layout, fields, convert, make, field, _ = row
             if len(toks) == len(fields):
                 try:
                     args = convert(toks, seen)
@@ -156,7 +181,7 @@ def parse_scenario(
                     for m, (what, kind) in zip(matches, fields):
                         _convert(kind, m.group(), what, fail, lineno, col0 + m.start())
                     raise AssertionError("a value failed to convert, no token did")
-                lists[key].append(make(*args))
+                lists[field].append(make(*args))
                 continue
         if raw.lstrip()[:1] in ("", "#"):  # a blank line or a comment
             continue
@@ -175,27 +200,26 @@ def parse_scenario(
         value = value_part.strip()
         options[key] = _convert(_SCALARS[key], value, key, fail, lineno, value_col)
 
-    if not lists["compartment"]:
+    if not lists["compartments"]:
         raise ScenarioParseError("scenario declares no compartments", source=source)
-    # ``seen`` holds the species of both row kinds, so it outgrows the
-    # compartments' species only if an overlap row names another; the line
-    # and column of the first such token are worked out only then
-    held = {c.species for c in lists["compartment"]}
+    # ``seen`` holds the species of every row kind, so it outgrows the
+    # compartments' species only if another row names one no compartment
+    # holds; the line and column of the first such token are worked out only then
+    held = _labels(_LISTS["compartment"], lists["compartments"])
     if len(seen) > len(held):
         for lineno, raw in enumerate(_lines(text), start=1):
             key_part, _, value_part = raw.partition("=")
-            if key_part.strip() == "overlap":
-                for m in list(re.finditer(r"\S+", value_part))[:2]:  # not q
-                    if m.group() not in held:
-                        raise fail(
-                            f"overlap names species {m.group()!r}, which no compartment holds",
-                            lineno,
-                            len(key_part) + 2 + m.start(),
-                        )
+            key = key_part.strip()
+            fields = _LISTS[key][1] if key in _LISTS else ()
+            for m, (_, kind) in zip(re.finditer(r"\S+", value_part), fields):
+                if kind is _species and m.group() not in held:
+                    col = len(key_part) + 2 + m.start()
+                    message = f"{key} names species {m.group()!r}, which no compartment holds"
+                    raise fail(message, lineno, col)
 
     # keys left out take MixingScenario's defaults
     scenario_id = options.pop("id", default_id)
-    scenario = MixingScenario(lists["compartment"], overlaps=lists["overlap"], **options)
+    scenario = MixingScenario(**lists, **options)
     return ScenarioFile(id=scenario_id, scenario=scenario)
 
 
@@ -242,11 +266,15 @@ def load_scenario(path: str | Path) -> ScenarioFile:
 def serialize_scenario(scenario_file: ScenarioFile) -> str:
     """Canonical text for a scenario; parse(serialize(x)) == x.
 
-    Floats are written with repr, which round-trips exactly, and overlaps
-    in their stored order.  A scenario the text cannot carry is a
-    DomainError: an id that is not one non-empty line without leading or
-    trailing whitespace, a species label the parser would reject, or an
-    overlap that names a species no compartment holds.
+    Floats are written with repr, which round-trips exactly.  Each list
+    key's rows are written by its ``_LISTS`` row, in table order, and each
+    key's objects (compartments, overlaps) in their stored order.  A
+    scenario the text cannot carry is a DomainError: an id that is not one
+    non-empty line without leading or trailing whitespace, a species label
+    the parser would reject, or a row (an overlap) that names a species no
+    compartment holds.  The id is checked first; then, of all species
+    labels in sorted order, the first faulty one is reported, and a label
+    both unreadable and unheld as unreadable.
     """
     scenario_id = scenario_file.id
     if (
@@ -260,19 +288,18 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
             "line without leading or trailing whitespace"
         )
     s = scenario_file.scenario
-    held = {c.species for c in s.compartments}
-    labels = held.union([name for o in s.overlaps for name in (o.species_a, o.species_b)])
-    for label in sorted(labels):  # each label once, in a fixed order
+    named = {key: _labels(row, getattr(s, row[4])) for key, row in _LISTS.items()}
+    held = named["compartment"]
+    why: dict[str, str] = {}  # label -> why the text cannot carry it
+    for key, labels in named.items():
+        for label in labels - held:
+            article = "an" if key[0] in "aeiou" else "a"
+            why.setdefault(label, f"{article} {key} names it, but no compartment holds it")
+    for label in sorted(held.union(why)):  # each label once, in a fixed order
         if _SPECIES_RE.match(label) is None:
-            raise DomainError(
-                f"species {label!r} cannot be serialized: a label is letters, "
-                "digits and _ . + - only"
-            )
-        if label not in held:
-            raise DomainError(
-                f"species {label!r} cannot be serialized: an overlap names it, "
-                "but no compartment holds it"
-            )
+            why[label] = "a label is letters, digits and _ . + - only"
+        if label in why:
+            raise DomainError(f"species {label!r} cannot be serialized: {why[label]}")
     lines = [
         f"id = {scenario_id}",
         f"model = {s.model.value}",
@@ -280,8 +307,6 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
         f"weighting = {s.weighting.value}",
         f"final_volume = {s.final_volume!r}",
     ]
-    for c in s.compartments:
-        lines.append(f"compartment = {c.species} {c.N} {c.V!r} {c.T!r}")
-    for o in s.overlaps:
-        lines.append(f"overlap = {o.species_a} {o.species_b} {o.overlap!r}")
+    for key, row in _LISTS.items():
+        lines += row[5](key, getattr(s, row[4]))
     return "\n".join(lines) + "\n"

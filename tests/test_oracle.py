@@ -64,10 +64,10 @@ def reference_cases(degs):
     return [N for N in range(8) if sum(degs) ** N <= 50_000]
 
 
-def block_depth(G):
-    """Suffix depth the tally uses before the N cap: largest k, G^k <= 4096."""
+def block_depth(G, block=4096):
+    """Suffix depth the tally uses before the N cap: largest k, G^k <= block."""
     k = 0
-    while G ** (k + 1) <= 4096:
+    while G ** (k + 1) <= block:
         k += 1
     return k
 
@@ -186,16 +186,23 @@ class TestIndependence:
         assert (result.by_occupation, result.total) == expected
         assert result.total == 5**6
 
-    def test_tally_memory_is_bounded(self):
-        # 5^9 assignments tallied through a suffix block of at most 4096 keys
+    # 5^7 assignments through a suffix block of 5^5 keys, the most that fits
+    # 4096 (a peak of 0.11 MB on 3.11; all 5^7 keys at once, 0.77 MB), then
+    # through a block patched down to 64 keys, 5^2 of them (6 kB; 0.77 MB
+    # for all keys, 0.28 MB for the 5^5 prefixes materialized)
+    @pytest.mark.parametrize(
+        "suffix_block, bound", [(4096, 400_000), (64, 50_000)], ids=["default", "patched"]
+    )
+    def test_tally_memory_is_bounded(self, monkeypatch, suffix_block, bound):
+        monkeypatch.setattr(mixent.oracle, "_SUFFIX_BLOCK", suffix_block)
         tracemalloc.start()
         try:
-            result = enumerate_assignments(9, (3, 2))
+            result = enumerate_assignments(7, (3, 2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.total == 5**9
-        assert peak < 1_000_000
+        assert result.total == 5**7
+        assert peak < bound
 
     def test_kept_key_blocks_are_capped(self):
         # 8^4 = 4096 suffix keys and 36 distinct 2-particle prefix keys:
@@ -457,40 +464,49 @@ def tallies(monkeypatch):
 
 
 # N < k, N = k and N > k against the 4096-key suffix block, then wide cells
-# (G > 4096), where the suffix is one particle deep
+# (G above the suffix block), where the suffix is one particle deep.  The
+# last case takes that branch at G = 65 against a block patched down to 64
+# (4,225 assignments, where the default block needs G = 4097 and 16.8
+# million); TestKeyBlockCap runs G = 4097 once, at the default constants.
+PATCHED_BLOCK = 64
 COUNTED_ONCE_CASES = [
     (2, (3, 2)),
     (5, (3, 2)),
     (7, (3, 2)),
     (1, (10**5,)),
-    (2, (4096, 1)),
+    (2, (PATCHED_BLOCK, 1)),
 ]
 
 
+def suffix_block(monkeypatch, degs):
+    """The suffix block a case runs under: patched down for the G = 65 case."""
+    if degs == (PATCHED_BLOCK, 1):
+        monkeypatch.setattr(mixent.oracle, "_SUFFIX_BLOCK", PATCHED_BLOCK)
+    return mixent.oracle._SUFFIX_BLOCK
+
+
 class TestEveryConfigurationCountedOnce:
-    def test_cases_cover_every_block_shape(self):
-        shapes = {
-            "G>4096" if sum(degs) > 4096
-            else "N<k" if N < block_depth(sum(degs))
-            else "N=k" if N == block_depth(sum(degs))
-            else "N>k"
-            for N, degs in COUNTED_ONCE_CASES
-        }
-        assert shapes == {"N<k", "N=k", "N>k", "G>4096"}
+    def test_cases_cover_every_block_shape(self, monkeypatch):
+        shapes = set()
+        for N, degs in COUNTED_ONCE_CASES:
+            with monkeypatch.context() as patch:
+                G, block = sum(degs), suffix_block(patch, degs)
+            k = block_depth(G, block)
+            shapes.add("G>block" if G > block else "N<k" if N < k else "N=k" if N == k else "N>k")
+        assert shapes == {"N<k", "N=k", "N>k", "G>block"}
 
     @pytest.mark.parametrize("N, degs", COUNTED_ONCE_CASES, ids=str)
     def test_labeled_tally_receives_one_key_per_assignment(
-        self, tallies, N, degs
+        self, monkeypatch, tallies, N, degs
     ):
         # one tally, fed every assignment's own key: a table of suffix
         # counts multiplied into it, or a DP over particles, feeds fewer
+        suffix_block(monkeypatch, degs)
         result = enumerate_assignments(N, degs)
         assert [sum(received) for received in tallies] == [sum(degs) ** N]
         assert result.total == sum(degs) ** N
 
-    # the last case has C(4098, 2) = 8.4 million patterns; (1, (10**5,))
-    # stands for the wide cells here
-    @pytest.mark.parametrize("N, degs", COUNTED_ONCE_CASES[:-1], ids=str)
+    @pytest.mark.parametrize("N, degs", COUNTED_ONCE_CASES, ids=str)
     def test_multiset_tally_receives_one_key_per_pattern(
         self, tallies, N, degs
     ):
@@ -526,17 +542,23 @@ class TestKeyBlockCap:
         prefix_keys = len(naive_assignments(N - k, degs)[0])
         assert (prefix_keys, mixent.oracle._MEMO_KEYS // sum(degs) ** k) == (10, 8)
 
-    @pytest.mark.parametrize(
-        "memo_keys",
-        [0, mixent.oracle._SUFFIX_BLOCK, mixent.oracle._MEMO_KEYS],
-        ids=["no-room", "seed-only", "default"],
-    )
+    # room for no block, for the suffix block's size only, or the default
+    @pytest.mark.parametrize("cap", ["no-room", "seed-only", "default"])
     @pytest.mark.parametrize("N, degs", [*COUNTED_ONCE_CASES, OVERFLOW_CASE], ids=str)
     def test_every_cap_feeds_one_key_per_assignment(
-        self, monkeypatch, tallies, memo_keys, N, degs
+        self, monkeypatch, tallies, cap, N, degs
     ):
         # blocks kept, shared or built and dropped: the tally sees the same keys
-        monkeypatch.setattr(mixent.oracle, "_MEMO_KEYS", memo_keys)
+        block = suffix_block(monkeypatch, degs)
+        memo_keys = {"no-room": 0, "seed-only": block, "default": mixent.oracle._MEMO_KEYS}
+        monkeypatch.setattr(mixent.oracle, "_MEMO_KEYS", memo_keys[cap])
         result = enumerate_assignments(N, degs)
         assert [sum(received) for received in tallies] == [sum(degs) ** N]
         assert (result.by_occupation, result.total) == assignment_reference(N, degs)
+
+    def test_wide_cells_at_the_default_constants(self, tallies):
+        # G = 4097 above the unpatched 4096-key block: the suffix is the
+        # weight tuple and each of the 4097 prefixes feeds one block
+        result = enumerate_assignments(2, (4096, 1))
+        assert [sum(received) for received in tallies] == [4097**2]
+        assert (result.by_occupation, result.total) == assignment_reference(2, (4096, 1))
