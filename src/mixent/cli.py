@@ -30,25 +30,12 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .combinatorics import (
-    Count,
-    StirlingForm,
-    binomial,
-    classical_symbol_states,
-    multiplicity_bose_approx,
-    multiplicity_bose_exact,
-    multiplicity_distinguishable,
-)
+from ._forms import CountingModel, StirlingForm
 from .errors import DomainError, ScenarioParseError
-from .statmech import (
-    CountingModel,
-    EnsembleSpec,
-    entropy_from_levels,
-    ideal_gas_entropy,
-)
 
-# mixing, scenario_io, oracle and json are imported by the handlers that
-# use them, so count and entropy calls never load them
+# combinatorics, statmech, mixing, scenario_io, oracle and json are imported
+# by the handlers that use them, so each call loads only what its subcommand
+# runs; the parser's choices come from _forms
 if TYPE_CHECKING:
     from collections.abc import Iterator
 
@@ -189,12 +176,12 @@ def _levels(text: str) -> tuple[tuple[float, int], ...]:
     return tuple(levels)
 
 
-def _bose_approx(n: int, g: int) -> Count:
-    return Count.log_only(multiplicity_bose_approx(n, g))
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
-    count = args.formula(args.a, args.b)
+    from . import combinatorics
+
+    count = getattr(combinatorics, args.formula)(args.a, args.b)
+    if isinstance(count, float):  # bose-approx: the log of a count
+        count = combinatorics.Count.log_only(count)
     print(f"value = {'(log-only)' if count.is_log_only else _digits(count.value)}")
     print(f"log_value = {_fmt(count.log_value)}")
     return 0
@@ -206,6 +193,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
             "mixent entropy: argument --constant: not allowed with argument --levels"
         )
     scale, units = _resolve_units()
+    from .statmech import EnsembleSpec, entropy_from_levels, ideal_gas_entropy
+
     model = CountingModel(args.model)
     form = StirlingForm(args.stirling_form)
     if args.V is None:
@@ -295,12 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="evaluate a counting formula")
     count.set_defaults(handler=_cmd_count)
     kinds = count.add_subparsers(dest="kind", required=True)
-    # every kind is a formula of two operands, a and b
+    # every kind is a combinatorics formula of two operands, a and b
     for kind, formula, a, b in (
-        ("binomial", binomial, "N", "n"),
-        ("bose", multiplicity_bose_exact, "n", "g"),
-        ("bose-approx", _bose_approx, "n", "g"),
-        ("symbols", classical_symbol_states, "n", "g"),
+        ("binomial", "binomial", "N", "n"),
+        ("bose", "multiplicity_bose_exact", "n", "g"),
+        ("bose-approx", "multiplicity_bose_approx", "n", "g"),
+        ("symbols", "classical_symbol_states", "n", "g"),
     ):
         pair = kinds.add_parser(kind)
         pair.add_argument("a", metavar=a, type=int)
@@ -315,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deg", dest="b", type=_int_list, required=True,
         help="comma-separated cell degeneracies",
     )
-    multiplicity.set_defaults(formula=multiplicity_distinguishable)
+    multiplicity.set_defaults(formula="multiplicity_distinguishable")
 
     entropy = sub.add_parser("entropy", help="entropy of a gas or level ensemble")
     entropy.add_argument("--N", type=int, required=True)

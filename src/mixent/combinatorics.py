@@ -5,7 +5,8 @@ cutoff and degrade gracefully to log-domain values beyond it.  The module
 provides the classical (distinguishable-particle) multiplicity, its
 permutation-corrected form (division by N!, which may be rational rather
 than integral), the exact and approximate multiset ("bosonic") counts, and
-the Stirling machinery used to turn counts into entropies.
+the Stirling forms used to turn counts into entropies (defined in
+``_forms``, which ``mixing`` reads without loading this module).
 
 Natural logarithms throughout; entropies derived from these counts are in
 units of k_B (nats).
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _EXPORTS, _check
 from ._check import _INF
+from ._forms import StirlingForm, _log_multinomial
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -33,13 +34,6 @@ __all__ = [*_EXPORTS["combinatorics"], "DEFAULT_EXACT_LIMIT", "MAX_EXACT_LIMIT"]
 # raise exact_limit up to MAX_EXACT_LIMIT.
 DEFAULT_EXACT_LIMIT = 5000
 MAX_EXACT_LIMIT = 20000
-
-_TWO_PI = 2.0 * math.pi
-# EXACT adds it to (1/2) ln x, where 2 pi x would overflow above 2.9e307
-_HALF_LN_2PI = 0.5 * math.log(_TWO_PI)
-# Loader's stirlerr series above 15: ln x! - (x + 1/2) ln x + x - (1/2) ln 2 pi
-# = (S0 - S1/x^2 + S2/x^4 - S3/x^6 + S4/x^8) / x, with a next term below 3e-16
-_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
 
 
 def _check_exact_limit(exact_limit: int) -> int:
@@ -144,103 +138,6 @@ def _as_cells(
             f"vs {len(degs)} degeneracies"
         )
     return ns, degs
-
-
-class StirlingForm(Enum):
-    """Which approximation of ln N! an entropy formula is built on.
-
-    A form is its remainder r(x) = ln x! - (x ln x - x): 0 for TWO_TERM,
-    (1/2) ln(2 pi x) for THREE_TERM, and the exact remainder for EXACT.
-    TWO_TERM is the thermodynamic workhorse: it makes the corrected-count
-    entropy exactly extensive, so "no entropy change" statements come out
-    as an exact zero instead of a small residual.  EXACT uses the
-    log-gamma function and exposes the finite-size residuals the two-term
-    form suppresses.  Entropy changes are built on the remainders, so no
-    change subtracts two entropies of order N ln N.
-    """
-
-    TWO_TERM = "two-term"
-    THREE_TERM = "three-term"
-    EXACT = "exact"
-
-    def log_factorial(self, n: float) -> float:
-        """ln n! under this form, for real n >= 0.
-
-        Occupation numbers in entropy formulas are generally not integers,
-        so this accepts any nonnegative real.  n == 0 returns 0 (the
-        factorial limit) under every form; the Stirling expressions are
-        poor for small nonzero n, which is the form's own failure mode
-        rather than this function's.  An n or an ln n! beyond the float
-        range is a DomainError.  The value is ``_log_factorials`` at n.
-        """
-        x = _check.finite("n", n)
-        if x < 0.0:
-            raise DomainError(f"log_factorial needs n >= 0, got {n!r}")
-        (value,) = self._log_factorials((x,))
-        if value == _INF:
-            raise DomainError(f"ln n! overflows a float at n = {x:.6g}")
-        return value
-
-    def _log_factorials(self, xs: Sequence[float]) -> list[float]:
-        """ln x! under this form for a column of finite reals x >= 0.
-
-        The one definition of ln n! in the package: one comprehension per
-        form, 0 at x == 0 under every form, and inf where ln x! leaves the
-        float range.  Callers check the column; nothing here does.
-        """
-        log = math.log
-        if self is StirlingForm.TWO_TERM:
-            return [x * log(x) - x if x else 0.0 for x in xs]
-        if self is StirlingForm.THREE_TERM:
-            return [
-                (x * log(x) - x) + 0.5 * log(_TWO_PI * x) if x else 0.0 for x in xs
-            ]
-        lgamma = math.lgamma  # EXACT: lgamma(1.0) is 0.0
-        try:
-            return [lgamma(x + 1.0) for x in xs]
-        except OverflowError:  # lgamma raises where the Stirling forms give inf
-            if len(xs) == 1:
-                return [_INF]
-            return [self._log_factorials((x,))[0] for x in xs]
-
-    def _remainders(self, xs: Sequence[float]) -> list[float]:
-        """r(x) = ln x! - (x ln x - x) under this form, for a column of
-        finite floats x >= 0; 0 at x == 0 under every form.
-
-        EXACT takes lgamma's remainder up to x = 15 and Loader's stirlerr
-        series plus (1/2) ln(2 pi x) above (C. Loader, "Fast and Accurate
-        Computation of Binomial Probabilities", 2000), so no term of order
-        x ln x is formed.  Callers check the column; nothing here does.
-        """
-        if self is StirlingForm.TWO_TERM:
-            return [0.0] * len(xs)
-        log = math.log
-        if self is StirlingForm.THREE_TERM:  # as in _log_factorials
-            return [0.5 * log(_TWO_PI * x) if x else 0.0 for x in xs]
-        lgamma = math.lgamma
-        return [
-            (_S0 - (u := 1.0 / (x * x)) * (_S1 - u * (_S2 - u * (_S3 - u * _S4)))) / x
-            + (_HALF_LN_2PI + 0.5 * log(x))
-            if x > 15.0
-            else (lgamma(x + 1.0) - (x * log(x) - x) if x else 0.0)
-            for x in xs
-        ]
-
-
-def _log_multinomial(ns: Sequence[int], form: StirlingForm) -> float:
-    """ln(N! / prod n_i!) under ``form`` for integers n_i >= 0, 0 < N = sum(ns)
-    within the float range.
-
-    sum n_i ln(N / n_i) + r(N) - sum r(n_i), with r the form's remainder,
-    so no two terms of order N ln N are subtracted.  A count above N/2
-    takes its term as -n_i log1p(-(N - n_i) / N), with N - n_i exact in
-    integers.  One fsum: the order of ns changes no bit.
-    """
-    N = sum(ns)
-    log, log1p = math.log, math.log1p
-    r_N, *rs = form._remainders([float(n) for n in (N, *ns)])
-    terms = [-n * log1p((n - N) / N) if n + n > N else n * log(N / n) for n in ns if n]
-    return _check.fsum(terms + [r_N] + [-r for r in rs], _INF)
 
 
 def log_factorial_exact(n: int | float) -> float:

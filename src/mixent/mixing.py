@@ -27,9 +27,15 @@ from typing import Any, Iterable
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
-from .combinatorics import StirlingForm, _log_multinomial
+from ._forms import (
+    CountingModel,
+    EntropyResult,
+    StirlingForm,
+    _entropy_result,
+    _ideal_gas_S,
+    _log_multinomial,
+)
 from .errors import DomainError
-from .statmech import CountingModel, EntropyResult, _entropy_result, _ideal_gas_S
 
 __all__ = [*_EXPORTS["mixing"]]
 

@@ -41,16 +41,16 @@ cases to different exit codes.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
 from . import _EXPORTS
-from .combinatorics import StirlingForm
+from ._forms import CountingModel, StirlingForm
 from .errors import DomainError, ScenarioParseError
 from .mixing import GasCompartment, MixingScenario, SpeciesOverlap, Weighting
-from .statmech import CountingModel
 
 __all__ = [*_EXPORTS["scenario_io"]]
 
@@ -125,14 +125,23 @@ _LISTS = {
 }
 
 
+@functools.cache  # a row's getters, built once, not on each call
+def _species_getters(row: tuple) -> tuple[attrgetter, ...]:
+    """Getters of the species that an object of a ``_LISTS`` row names: the
+    fields of its ``make`` (a dataclass that takes the row's tokens in order)
+    filled from the tokens that its ``fields`` convert with _species."""
+    return tuple(
+        attrgetter(name)
+        for name, (_, kind) in zip(row[3].__match_args__, row[1])
+        if kind is _species
+    )
+
+
 def _labels(row: tuple, objects) -> set[str]:
-    """The species that ``objects`` of a ``_LISTS`` row name: the fields of
-    its ``make`` (a dataclass that takes the row's tokens in order) filled
-    from the tokens that its ``fields`` convert with _species."""
+    """The species that ``objects`` of a ``_LISTS`` row name."""
     labels: set[str] = set()
-    for name, (_, kind) in zip(row[3].__match_args__, row[1]):
-        if kind is _species:
-            labels.update(map(attrgetter(name), objects))
+    for get in _species_getters(row):
+        labels.update(map(get, objects))
     return labels
 
 
@@ -288,7 +297,18 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
             "line without leading or trailing whitespace"
         )
     s = scenario_file.scenario
-    named = {key: _labels(row, getattr(s, row[4])) for key, row in _LISTS.items()}
+    lines = [
+        f"id = {scenario_id}",
+        f"model = {s.model.value}",
+        f"stirling_form = {s.stirling_form.value}",
+        f"weighting = {s.weighting.value}",
+        f"final_volume = {s.final_volume!r}",
+    ]
+    named: dict[str, set[str]] = {}  # list key -> the species its rows name
+    for key, row in _LISTS.items():
+        objects = getattr(s, row[4])
+        named[key] = _labels(row, objects)
+        lines += row[5](key, objects)
     held = named["compartment"]
     why: dict[str, str] = {}  # label -> why the text cannot carry it
     for key, labels in named.items():
@@ -300,13 +320,4 @@ def serialize_scenario(scenario_file: ScenarioFile) -> str:
             why[label] = "a label is letters, digits and _ . + - only"
         if label in why:
             raise DomainError(f"species {label!r} cannot be serialized: {why[label]}")
-    lines = [
-        f"id = {scenario_id}",
-        f"model = {s.model.value}",
-        f"stirling_form = {s.stirling_form.value}",
-        f"weighting = {s.weighting.value}",
-        f"final_volume = {s.final_volume!r}",
-    ]
-    for key, row in _LISTS.items():
-        lines += row[5](key, getattr(s, row[4]))
     return "\n".join(lines) + "\n"

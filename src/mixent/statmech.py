@@ -20,30 +20,28 @@ entropy exactly extensive.
 The level arithmetic is plain ``math`` over Python lists: ensembles are a
 handful to ten thousand levels, where numpy's import costs more than it
 saves.  numpy is not a dependency: :func:`occupations` returns a tuple of
-floats.
+floats.  ``CountingModel`` and ``EntropyResult`` are defined in ``_forms``,
+which ``mixing`` reads without loading this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
-from .combinatorics import StirlingForm
+from ._forms import (
+    CountingModel,
+    EntropyResult,
+    StirlingForm,
+    _entropy_result,
+    _ideal_gas_S,
+)
 from .errors import DomainError
 
 __all__ = [*_EXPORTS["statmech"]]
-
-
-class CountingModel(Enum):
-    """How microstates are counted when turning occupations into entropy."""
-
-    DISTINGUISHABLE = "distinguishable"
-    GIBBS_CORRECTED = "gibbs-corrected"
-    BOSE_APPROXIMATE = "bose-approximate"
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -99,16 +97,6 @@ class EnsembleSpec:
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "N", _check.count("N", self.N))
         object.__setattr__(self, "T", _check.positive("T", self.T))
-
-
-@dataclass(frozen=True)
-class EntropyResult:
-    """Entropy in units of k_B, tagged with how it was counted."""
-
-    S: float
-    per_particle: float
-    model: CountingModel
-    stirling_form: StirlingForm
 
 
 def _weights(
@@ -180,17 +168,6 @@ def internal_energy(ensemble: EnsembleSpec) -> float:
     return U
 
 
-def _entropy_result(
-    S: float, N: int, model: CountingModel, stirling_form: StirlingForm
-) -> EntropyResult:
-    """The one way an EntropyResult is made: S must be a finite float."""
-    if not math.isfinite(S):
-        raise DomainError(f"entropy overflows a float at N = {N:.6g} particles")
-    return EntropyResult(
-        S=S, per_particle=S / N, model=model, stirling_form=stirling_form
-    )
-
-
 def entropy_from_levels(
     ensemble: EnsembleSpec,
     model: CountingModel,
@@ -218,26 +195,6 @@ def entropy_from_levels(
     if model is CountingModel.DISTINGUISHABLE:  # plus ln N!, inf past the float range
         S = stirling_form._log_factorials((float(ensemble.N),))[0] + S
     return _entropy_result(S, ensemble.N, model, stirling_form)
-
-
-def _ideal_gas_S(
-    n: float,
-    V: float,
-    T: float,
-    model: CountingModel,
-    stirling_form: StirlingForm,
-    constant: float,
-) -> float:
-    """Ideal-gas entropy S = n ln V + (3/2) n ln T + C of n particles in V,
-    minus ln n! under the chosen form for the corrected models.
-
-    Where ln n! leaves the float range, S is -inf or NaN, which the
-    callers' result checks reject.
-    """
-    S = n * math.log(V) + 1.5 * n * math.log(T) + constant
-    if model is CountingModel.DISTINGUISHABLE:
-        return S
-    return S - stirling_form._log_factorials((n,))[0]
 
 
 def ideal_gas_entropy(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -78,18 +79,22 @@ SUBCOMMANDS = {
 # Fraction is imported only inside multiplicity_gibbs_corrected_exact;
 # fractions itself imports decimal
 EXACT_ARITHMETIC = "fractions,decimal"
-# mixent's submodules beyond what count and entropy need, and json
-FOOTPRINT = "mixent.mixing,mixent.scenario_io,mixent.oracle,mixent.statmech,json"
+# mixent's submodules beyond the parser's (cli, errors, _forms, _check),
+# and json
+FOOTPRINT = (
+    "mixent.mixing,mixent.scenario_io,mixent.oracle,"
+    "mixent.combinatorics,mixent.statmech,json"
+)
 # subcommand -> the watched modules it loads, in FOOTPRINT order
 LOADED_BY = {
-    "count-binomial": "mixent.statmech",
-    "count-multiplicity": "mixent.statmech",
+    "count-binomial": "mixent.combinatorics",
+    "count-multiplicity": "mixent.combinatorics",
     "entropy-V": "mixent.statmech",
     "entropy-levels": "mixent.statmech",
-    "mix-csv": "mixent.mixing,mixent.scenario_io,mixent.statmech",
-    "mix-json": "mixent.mixing,mixent.scenario_io,mixent.statmech,json",
-    "sweep-overlap": "mixent.mixing,mixent.scenario_io,mixent.statmech",
-    "oracle-check": "mixent.oracle,mixent.statmech",
+    "mix-csv": "mixent.mixing,mixent.scenario_io",
+    "mix-json": "mixent.mixing,mixent.scenario_io,json",
+    "sweep-overlap": "mixent.mixing,mixent.scenario_io",
+    "oracle-check": "mixent.oracle,mixent.combinatorics",
 }
 
 
@@ -137,6 +142,31 @@ def test_import_mixent_loads_no_submodule_or_json():
 @pytest.mark.parametrize("name", list(SUBCOMMANDS))
 def test_cli_subcommand_loads_only_what_it_runs(name):
     assert _seen(name, FOOTPRINT) == ["import -", f"main 0 {LOADED_BY[name]}"]
+
+
+# imports the module argv[1] names and prints which of the modules named in
+# argv[2] are loaded ("-" for none)
+IMPORT_PROBE = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(",".join(m for m in sys.argv[2].split(",") if m in sys.modules) or "-")
+"""
+
+
+# the library apart from the CLI: mixing needs only the counting vocabulary
+# of _forms, and statmech nothing of combinatorics; the oracle, which counts
+# with combinatorics, shows that the probe sees a loaded module
+@pytest.mark.parametrize(
+    "module, watched, loaded",
+    [
+        ("mixent.mixing", "mixent.combinatorics,mixent.statmech", "-"),
+        ("mixent.statmech", "mixent.combinatorics", "-"),
+        ("mixent.oracle", "mixent.combinatorics,mixent.statmech", "mixent.combinatorics"),
+    ],
+    ids=["mixing", "statmech", "oracle"],
+)
+def test_module_import_loads_only_what_it_needs(module, watched, loaded):
+    assert _run_probe(IMPORT_PROBE, module, watched) == [loaded]
 
 
 # the probe can fail: a call that loads a watched module shows it
@@ -238,6 +268,109 @@ def test_all_is_the_48_public_names():
 def test_public_name_is_the_submodule_object(name):
     module = importlib.import_module(f"mixent.{HOME[name]}")
     assert getattr(mixent, name) is getattr(module, name)
+
+
+def test_public_name_names_its_home_as_its_module():
+    # StirlingForm, CountingModel and EntropyResult are defined in _forms
+    wrong = {
+        name: value.__module__
+        for name in HOME
+        if (value := getattr(mixent, name)).__module__ != f"mixent.{HOME[name]}"
+    }
+    assert wrong == {}
+
+
+# pickled at protocols 0 and 5 by the code before StirlingForm, CountingModel
+# and EntropyResult moved to _forms: pickles name each class's public home
+PICKLED_BEFORE_THE_MOVE = {
+    "stirling-form": (
+        b"cmixent.combinatorics\nStirlingForm\np0\n(Vexact\np1\ntp2\nRp3\n.",
+        bytes.fromhex(
+            "80059535000000000000008c146d6978656e742e636f6d62696e61746f72696373948c0c"
+            "537469726c696e67466f726d9493948c05657861637494859452942e"
+        ),
+    ),
+    "counting-model": (
+        b"cmixent.statmech\nCountingModel\np0\n(Vbose-approximate\np1\ntp2\nRp3\n.",
+        bytes.fromhex(
+            "8005953c000000000000008c0f6d6978656e742e737461746d656368948c0d436f756e74"
+            "696e674d6f64656c9493948c10626f73652d617070726f78696d61746594859452942e"
+        ),
+    ),
+    "entropy-result": (
+        b"ccopy_reg\n_reconstructor\np0\n(cmixent.statmech\nEntropyResult\np1\n"
+        b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVS\np6\nF1.5\nsVper_particle\n"
+        b"p7\nF0.125\nsVmodel\np8\ncmixent.statmech\nCountingModel\np9\n"
+        b"(Vgibbs-corrected\np10\ntp11\nRp12\nsVstirling_form\np13\n"
+        b"cmixent.combinatorics\nStirlingForm\np14\n(Vexact\np15\ntp16\nRp17\nsb.",
+        bytes.fromhex(
+            "800595c8000000000000008c0f6d6978656e742e737461746d656368948c0d456e74726f"
+            "7079526573756c749493942981947d94288c015394473ff80000000000008c0c7065725f"
+            "7061727469636c6594473fc00000000000008c056d6f64656c9468008c0d436f756e7469"
+            "6e674d6f64656c9493948c0f67696262732d636f7272656374656494859452948c0d7374"
+            "69726c696e675f666f726d948c146d6978656e742e636f6d62696e61746f72696373948c"
+            "0c537469726c696e67466f726d9493948c056578616374948594529475622e"
+        ),
+    ),
+    "scenario": (
+        b"ccopy_reg\n_reconstructor\np0\n(cmixent.mixing\nMixingScenario\np1\n"
+        b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVcompartments\np6\n(g0\n"
+        b"(cmixent.mixing\nGasCompartment\np7\ng2\nNtp8\nRp9\n(lp10\nVa\np11\naI10\n"
+        b"aF1.0\naF2.0\nabg0\n(g7\ng2\nNtp12\nRp13\n(lp14\nVb\np15\naI20\naF3.0\n"
+        b"aF2.0\nabtp16\nsVfinal_volume\np17\nF4.0\nsVoverlaps\np18\n(g0\n"
+        b"(cmixent.mixing\nSpeciesOverlap\np19\ng2\nNtp20\nRp21\n(lp22\ng11\nag15\n"
+        b"aF0.25\nabtp23\nsVmodel\np24\ncmixent.statmech\nCountingModel\np25\n"
+        b"(Vgibbs-corrected\np26\ntp27\nRp28\nsVstirling_form\np29\n"
+        b"cmixent.combinatorics\nStirlingForm\np30\n(Vtwo-term\np31\ntp32\nRp33\n"
+        b"sVweighting\np34\ncmixent.mixing\nWeighting\np35\n(Vcomplement\np36\n"
+        b"tp37\nRp38\nsV_overlap_table\np39\n(dp40\n(g11\ng15\ntp41\nF0.25\nssb.",
+        bytes.fromhex(
+            "800595bc010000000000008c0d6d6978656e742e6d6978696e67948c0e4d6978696e6753"
+            "63656e6172696f9493942981947d94288c0c636f6d706172746d656e74739468008c0e47"
+            "6173436f6d706172746d656e749493942981945d94288c0161944b0a473ff00000000000"
+            "00474000000000000000656268072981945d94288c0162944b1447400800000000000047"
+            "4000000000000000656286948c0c66696e616c5f766f6c756d6594474010000000000000"
+            "8c086f7665726c6170739468008c0e537065636965734f7665726c61709493942981945d"
+            "9428680a680d473fd0000000000000656285948c056d6f64656c948c0f6d6978656e742e"
+            "737461746d656368948c0d436f756e74696e674d6f64656c9493948c0f67696262732d63"
+            "6f7272656374656494859452948c0d737469726c696e675f666f726d948c146d6978656e"
+            "742e636f6d62696e61746f72696373948c0c537469726c696e67466f726d9493948c0874"
+            "776f2d7465726d94859452948c09776569676874696e679468008c09576569676874696e"
+            "679493948c0a636f6d706c656d656e7494859452948c0e5f6f7665726c61705f7461626c"
+            "65947d94680a680d8694473fd00000000000007375622e"
+        ),
+    ),
+}
+
+
+def _pickled_value(name: str) -> object:
+    if name == "stirling-form":
+        return mixent.StirlingForm.EXACT
+    if name == "counting-model":
+        return mixent.CountingModel.BOSE_APPROXIMATE
+    if name == "entropy-result":
+        return mixent.EntropyResult(
+            S=1.5,
+            per_particle=0.125,
+            model=mixent.CountingModel.GIBBS_CORRECTED,
+            stirling_form=mixent.StirlingForm.EXACT,
+        )
+    return mixent.MixingScenario(
+        compartments=(
+            mixent.GasCompartment("a", 10, 1.0, 2.0),
+            mixent.GasCompartment("b", 20, 3.0, 2.0),
+        ),
+        overlaps=(mixent.SpeciesOverlap("a", "b", 0.25),),
+    )
+
+
+@pytest.mark.parametrize("protocol", [0, 5])
+@pytest.mark.parametrize("name", list(PICKLED_BEFORE_THE_MOVE))
+def test_pickle_bytes_are_those_before_the_move(name, protocol):
+    value = _pickled_value(name)
+    data = PICKLED_BEFORE_THE_MOVE[name][protocol == 5]
+    assert pickle.dumps(value, protocol) == data
+    assert pickle.loads(data) == value
 
 
 def test_star_import_binds_every_public_name():
