@@ -9,8 +9,6 @@ modules.  Those modules re-export them, and each class names its public
 home as its ``__module__``, so pickles and ``help()`` read as before.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from enum import Enum

@@ -142,7 +142,9 @@ class MixingScenario:
     volumes (1e-12 relative); violations are domain errors since the
     entropy bookkeeping here has no terms for heat or compression work.
     Left out, final_volume is that sum.  Copied, deep-copied, replaced and
-    unpickled scenarios pass the same checks as constructed ones.  The
+    unpickled scenarios pass the same checks as constructed ones; the
+    compartment checks run once per compartments tuple, which copy.copy
+    and dataclasses.replace keep (mixing._summarize).  The
     overlap rule lives in mixing._species_term, which never reads an entry
     naming a species that no compartment holds; such an entry is kept.
     """
@@ -155,26 +157,8 @@ class MixingScenario:
     weighting: Weighting = Weighting.COMPLEMENT
 
     def __post_init__(self) -> None:
-        comps = _check.items("compartments", self.compartments)
-        if not comps:
-            raise DomainError("scenario needs at least one compartment")
-        for c in comps:
-            if not isinstance(c, GasCompartment):
-                raise DomainError(f"compartments must be GasCompartment, got {c!r}")
+        comps, (*_, v_sum, _) = _summarize(self.compartments)
         object.__setattr__(self, "compartments", comps)
-        t0 = comps[0].T
-        n_sum = 0
-        for c in comps:
-            T = c.T
-            if T != t0 and not math.isclose(T, t0, rel_tol=_REL_TOL):
-                raise DomainError(
-                    f"scenario must be isothermal: temperatures {t0!r} and {T!r} differ"
-                )
-            n_sum += c.N
-        _check.count("total particle number", n_sum)
-        v_sum = _check.fsum([c.V for c in comps], math.inf)
-        if v_sum == math.inf:
-            raise DomainError("the summed compartment volumes overflow a float")
         v_fin = v_sum if self.final_volume is None else self.final_volume
         v_fin = _check.positive("final_volume", v_fin)
         if not math.isclose(v_fin, v_sum, rel_tol=_REL_TOL):
@@ -317,6 +301,75 @@ def _species_term(
     return delta * scenario.weighting._scale(q), q
 
 
+# The last compartments tuple summarized, with its summary: one pair, set
+# in one assignment, so a thread reads both halves of the same one.  The
+# pair keeps the tuple alive, so no other object can take its id.
+_last_summary: tuple[tuple[GasCompartment, ...], tuple] | None = None
+
+
+def _summarize(compartments: object) -> tuple[tuple[GasCompartment, ...], tuple]:
+    """The checked compartments tuple and what it alone decides: the n
+    (as floats) and V columns, the per-species totals, the total N, the
+    summed volume, and a dict of density log-sums keyed by
+    (distinguishable, final_volume) that mixing_entropy fills.
+
+    Every compartment check of MixingScenario is here.  The last summary
+    is reused while the same tuple object comes back, as it does for
+    copies, replaced scenarios and sweep points; any other value is
+    checked and summarized anew.  Nothing remembered here comes from the
+    Stirling forms, _species_term or _report, so a call that reuses a
+    summary still goes through each of them.
+    """
+    global _last_summary
+    last = _last_summary
+    if last is not None and last[0] is compartments:
+        return last
+    comps = _check.items("compartments", compartments)
+    if not comps:
+        raise DomainError("scenario needs at least one compartment")
+    for c in comps:
+        if not isinstance(c, GasCompartment):
+            raise DomainError(f"compartments must be GasCompartment, got {c!r}")
+    t0 = comps[0].T
+    ns: list[float] = []
+    Vs: list[float] = []
+    per_species: dict[str, int] = {}
+    n_sum = 0
+    for c in comps:
+        T = c.T
+        if T != t0 and not math.isclose(T, t0, rel_tol=_REL_TOL):
+            raise DomainError(
+                f"scenario must be isothermal: temperatures {t0!r} and {T!r} differ"
+            )
+        n = c.N
+        n_sum += n
+        ns.append(float(n))
+        Vs.append(c.V)
+        per_species[c.species] = per_species.get(c.species, 0) + n
+    _check.count("total particle number", n_sum)
+    v_sum = _check.fsum(Vs, math.inf)
+    if v_sum == math.inf:
+        raise DomainError("the summed compartment volumes overflow a float")
+    _last_summary = comps, (ns, Vs, per_species, n_sum, v_sum, {})
+    return _last_summary
+
+
+def _density_log_sum(
+    ns: list[float], Vs: list[float], N: int, distinguishable: bool, V_final: float
+) -> float:
+    """sum n_c ln(V_final / V_c) under distinguishable counting, else
+    sum n_c ln(rho_c / rho); a density beyond the float range is a
+    DomainError."""
+    log = math.log
+    if distinguishable:
+        return _check.fsum([n * log(V_final / V) for n, V in zip(ns, Vs)], math.nan)
+    rho = N / V_final
+    rhos = [n / V for n, V in zip(ns, Vs)]
+    if rho == _INF or _INF in rhos:
+        raise DomainError(f"a density n / V overflows a float at N = {N:.6g}")
+    return _check.fsum([n * log(r / rho) for n, r in zip(ns, rhos)], math.nan)
+
+
 def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     """Entropy change when a scenario's compartments merge into one volume.
 
@@ -345,33 +398,20 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     T = scenario.temperature
     model = scenario.model
     form = scenario.stirling_form
-    # one pass for the n and V columns and the per-species totals
-    ns: list[float] = []
-    Vs: list[float] = []
-    per_species: dict[str, int] = {}
-    for c in scenario.compartments:
-        n = c.N
-        ns.append(float(n))
-        Vs.append(c.V)
-        per_species[c.species] = per_species.get(c.species, 0) + n
-    N_total = sum(per_species.values())
     V_final = scenario.final_volume
-
-    log = math.log
+    ns, Vs, per_species, N_total, _, log_sums = _summarize(scenario.compartments)[1]
+    key = (model is CountingModel.DISTINGUISHABLE, V_final)
+    log_sum = log_sums.get(key)
+    if log_sum is None:
+        log_sum = log_sums[key] = _density_log_sum(ns, Vs, N_total, *key)
     if model is CountingModel.DISTINGUISHABLE:
-        gain = _check.fsum([n * log(V_final / V) for n, V in zip(ns, Vs)], math.nan)
-        delta_density = gain
+        gain = delta_density = log_sum
     else:
-        rho = N_total / V_final
-        rhos = [n / V for n, V in zip(ns, Vs)]
-        if rho == _INF or _INF in rhos:
-            raise DomainError(f"a density n / V overflows a float at N = {N_total:.6g}")
-        kl = _check.fsum([n * log(r / rho) for n, r in zip(ns, rhos)], math.nan)
         r_N, *rs = form._remainders([float(N_total), *ns])
         excess = _check.fsum([*rs, -r_N], math.nan)
-        gain = kl + excess
+        gain = log_sum + excess
         # the clamp; NaN fails the comparison and is kept for the result checks
-        delta_density = (0.0 if kl <= 0.0 else kl) + excess
+        delta_density = (0.0 if log_sum <= 0.0 else log_sum) + excess
     S_merged = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
     initial = _entropy_result(S_merged - gain, N_total, model, form)
 

@@ -417,6 +417,28 @@ def test_unknown_name_is_an_attribute_error():
         exec("from mixent import nope", {})
 
 
+HINTS_PROBE = """
+import sys, typing
+import mixent.mixing as mixing
+print(",".join(m for m in ("mixent.combinatorics", "mixent.statmech") if m in sys.modules) or "-")
+for cls in (mixing.EntropyResult, mixing.MixingReport):
+    hints = typing.get_type_hints(cls)
+    print(cls.__name__, " ".join(f"{k}:{getattr(v, '__name__', v)}" for k, v in hints.items()))
+"""
+
+
+# the moved classes' annotations are objects, not names to look up in a
+# public home that mixing does not load
+def test_type_hints_resolve_with_only_mixing_loaded():
+    assert _run_probe(HINTS_PROBE) == [
+        "-",
+        "EntropyResult S:float per_particle:float model:CountingModel "
+        "stirling_form:StirlingForm",
+        "MixingReport S_initial:EntropyResult S_final:EntropyResult "
+        "delta_S:float separation_work:float overlap_applied:float",
+    ]
+
+
 LAZY_PROBE = """
 import pickle
 import mixent

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from mixent import mixing
+from mixent.cli import _overlap_grid
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError
 from mixent.mixing import (
@@ -651,3 +655,171 @@ class TestOneReportBuilder:
             if name == "_report":
                 assert report is built[-1]
         assert len(built) == users
+
+
+def _overlaps(scenario, q):
+    """Every species pair of ``scenario`` at overlap q."""
+    return tuple(
+        SpeciesOverlap(a, b, q) for a, b in itertools.combinations(scenario.species(), 2)
+    )
+
+
+def _rebuilt(scenario):
+    """``scenario`` over a new compartments tuple with the same values."""
+    fresh = tuple(list(scenario.compartments))
+    assert fresh is not scenario.compartments
+    return dataclasses.replace(scenario, compartments=fresh)
+
+
+def _seeded_scenarios():
+    """Small seeded scenarios over every model, form and weighting, with one
+    to three species, and one wide scenario shaped like the benchmark's
+    wide mix request: 1,000 compartments over 50 species."""
+    rng = random.Random(2801)
+    for model, form, weighting in itertools.product(
+        CountingModel, StirlingForm, Weighting
+    ):
+        for _ in range(4):
+            T = rng.uniform(0.1, 10.0)
+            names = [f"sp{k}" for k in range(rng.randint(1, 3))]
+            comps = tuple(
+                GasCompartment(
+                    names[i] if i < len(names) else rng.choice(names),
+                    rng.randint(1, 10**6),
+                    rng.uniform(0.05, 8.0),
+                    T,
+                )
+                for i in range(rng.randint(len(names), 6))
+            )
+            yield MixingScenario.from_compartments(
+                comps, model=model, stirling_form=form, weighting=weighting
+            )
+    names = [f"sp{k}" for k in range(50)]
+    comps = tuple(
+        GasCompartment(
+            names[i] if i < 50 else rng.choice(names),
+            rng.randint(1, 1000),
+            round(rng.uniform(0.1, 2.0), 4),
+            1.5,
+        )
+        for i in range(1000)
+    )
+    yield MixingScenario.from_compartments(comps)
+
+
+class TestCompartmentSummary:
+    """A scenario's compartment checks and columns are summarized once per
+    compartments tuple (mixing._summarize), and reused while that tuple
+    comes back, as it does for replaced scenarios and sweep points."""
+
+    def test_reused_summary_gives_the_same_bits(self):
+        for scenario in _seeded_scenarios():
+            nudged = scenario.final_volume * (1 + 4e-13)
+            assert nudged != scenario.final_volume
+            twins = [
+                dataclasses.replace(scenario, overlaps=_overlaps(scenario, q))
+                for q in (0.0, 0.3, 1.0)
+            ]
+            # another final volume or counting on the same tuple needs its
+            # own log-sum
+            twins.append(dataclasses.replace(scenario, final_volume=nudged))
+            other = (
+                CountingModel.GIBBS_CORRECTED
+                if scenario.model is CountingModel.DISTINGUISHABLE
+                else CountingModel.DISTINGUISHABLE
+            )
+            twins.append(dataclasses.replace(scenario, model=other))
+            for twin in twins:
+                mixing_entropy(scenario)
+                last = mixing._last_summary
+                assert last[0] is scenario.compartments
+                hit = mixing_entropy(twin)
+                assert mixing._last_summary is last
+                fresh = mixing_entropy(_rebuilt(twin))
+                assert repr(hit) == repr(fresh), twin
+
+    def test_equal_scenarios_over_distinct_tuples_keep_their_own(self):
+        comps = [GasCompartment("a", 30, 1.0, 1.0), GasCompartment("b", 10, 2.0, 1.0)]
+        a = MixingScenario.from_compartments(comps)
+        b = MixingScenario.from_compartments(comps)
+        assert a == b and a.compartments is not b.compartments
+        expected = repr(mixing_entropy(a))
+        summaries = []
+        for scenario in (a, b, dataclasses.replace(a), dataclasses.replace(b)):
+            assert repr(mixing_entropy(scenario)) == expected
+            tup, summary = mixing._last_summary
+            assert tup is scenario.compartments
+            summaries.append(summary)
+        # the replaced scenarios came after the other tuple: summarized anew
+        assert len({id(s) for s in summaries}) == 4
+
+    def test_rejected_tuple_is_not_remembered(self):
+        scenario = two_gas_scenario()
+        mixing_entropy(scenario)
+        last = mixing._last_summary
+        hot = (GasCompartment("a", 1, 1.0, 1.0), GasCompartment("b", 1, 1.0, 2.0))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="isothermal"):
+                MixingScenario(compartments=hot)
+        assert mixing._last_summary is last
+
+    def test_next_summary_lets_the_last_tuple_go(self):
+        class Tracked(GasCompartment):  # slotted GasCompartment has no weakref
+            pass
+
+        tracked = Tracked("a", 5, 1.0, 1.0)
+        alive = weakref.ref(tracked)
+        scenario = MixingScenario.from_compartments((tracked,))
+        del tracked, scenario
+        gc.collect()
+        assert alive() is not None  # the last summary holds its tuple
+        two_gas_scenario()
+        gc.collect()
+        assert alive() is None
+
+    def test_every_sweep_point_shares_the_base_tuple(self):
+        base = load_scenario(ROOT / "scenarios" / "partial_overlap.scenario").scenario
+        points = list(_overlap_grid(base, 5))
+        assert len(points) == 5
+        assert all(p.compartments is base.compartments for p in points)
+
+
+class _Sentinel(Exception):
+    pass
+
+
+class TestReusedSummaryReachesEveryFormula:
+    """With a formula patched to raise, mixing_entropy on a replaced copy
+    of a scenario already evaluated unpatched still raises: the reused
+    summary holds no value any of them computes."""
+
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    @pytest.mark.parametrize(
+        "owner, name, models",
+        [
+            (StirlingForm, "_remainders", CORRECTED),
+            (StirlingForm, "_log_factorials", CORRECTED),
+            (mixing, "_species_term", tuple(CountingModel)),
+            (mixing, "_report", tuple(CountingModel)),
+        ],
+        ids=["_remainders", "_log_factorials", "_species_term", "_report"],
+    )
+    def test_patched_formula_is_reached_on_a_reuse(
+        self, monkeypatch, owner, name, models, form
+    ):
+        def boom(*args):
+            raise _Sentinel
+
+        comps = (GasCompartment("a", 3, 1.0, 1.0), GasCompartment("b", 5, 2.0, 1.0))
+        for model in models:
+            scenario = MixingScenario.from_compartments(
+                comps, model=model, stirling_form=form
+            )
+            mixing_entropy(scenario)  # unpatched, it succeeds
+            last = mixing._last_summary
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, boom)
+                twin = dataclasses.replace(scenario)
+                with pytest.raises(_Sentinel):
+                    mixing_entropy(twin)
+            assert mixing._last_summary is last
