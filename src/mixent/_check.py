@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable, TypeVar
 
 from .errors import DomainError
-
-_E = TypeVar("_E", bound=Enum)
 
 _INF = float("inf")
 # the least int that float() rounds up to 2**1024 and so rejects
@@ -156,7 +154,7 @@ def fsum(xs: Iterable[float], beyond: float) -> float:
         return beyond
 
 
-def member(enum_cls: type[_E], value: object) -> _E:
+def member(enum_cls: type[Enum], value: object) -> Enum:
     """A member of enum_cls; the error names the class in words."""
     if isinstance(value, enum_cls):
         return value

@@ -10,9 +10,9 @@ home as its ``__module__``, so pickles and ``help()`` read as before.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 from . import _check
 from ._check import _INF
@@ -177,3 +177,9 @@ def _ideal_gas_S(
 # loaded yet (an AttributeError on 3.11)
 StirlingForm.__module__ = f"{__package__}.combinatorics"
 CountingModel.__module__ = EntropyResult.__module__ = f"{__package__}.statmech"
+# 3.13's __firstlineno__ counts lines of this file, but inspect.getsource
+# reads them in the public home's; without it getsource raises OSError
+for _cls in (StirlingForm, CountingModel, EntropyResult):
+    if "__firstlineno__" in _cls.__dict__:
+        delattr(_cls, "__firstlineno__")
+del _cls

@@ -28,7 +28,6 @@ import functools
 import itertools
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from ._forms import CountingModel, StirlingForm
 from .errors import DomainError, ScenarioParseError
@@ -36,6 +35,7 @@ from .errors import DomainError, ScenarioParseError
 # combinatorics, statmech, mixing, scenario_io, oracle and json are imported
 # by the handlers that use them, so each call loads only what its subcommand
 # runs; the parser's choices come from _forms
+TYPE_CHECKING = False  # typing's, without loading typing; checkers read True
 if TYPE_CHECKING:
     from collections.abc import Iterator
 

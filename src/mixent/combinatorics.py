@@ -15,14 +15,15 @@ units of k_B (nats).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _EXPORTS, _check
 from ._check import _INF
 from ._forms import StirlingForm, _log_multinomial
 from .errors import DomainError
 
+TYPE_CHECKING = False  # typing's, without loading typing; checkers read True
 if TYPE_CHECKING:
     from fractions import Fraction
 

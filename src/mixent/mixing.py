@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
@@ -184,7 +184,7 @@ class MixingScenario:
         _check.member(StirlingForm, self.stirling_form)
         _check.member(Weighting, self.weighting)
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
+    def __setstate__(self, state: dict[str, object]) -> None:
         # copies and unpickled scenarios pass the constructor's checks, and
         # pickles made before the table existed load with it
         self.__dict__.update(state)
@@ -192,7 +192,7 @@ class MixingScenario:
 
     @classmethod
     def from_compartments(
-        cls, compartments: Iterable[GasCompartment], **fields: Any
+        cls, compartments: Iterable[GasCompartment], **fields: object
     ) -> "MixingScenario":
         """The scenario over ``compartments``, merging into their summed volume.
 

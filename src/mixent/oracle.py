@@ -14,8 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 from . import _EXPORTS, _check, combinatorics
 from .combinatorics import OccupationVector

@@ -42,10 +42,10 @@ cases to different exit codes.
 from __future__ import annotations
 
 import functools
+import os
 import re
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 
 from . import _EXPORTS
 from ._forms import CountingModel, StirlingForm
@@ -120,7 +120,7 @@ _LISTS = {
         _overlap_args,
         SpeciesOverlap,
         "overlaps",
-        lambda key, os: [f"{key} = {o.species_a} {o.species_b} {o.overlap!r}" for o in os],
+        lambda key, ovs: [f"{key} = {o.species_a} {o.species_b} {o.overlap!r}" for o in ovs],
     ),
 }
 
@@ -253,23 +253,28 @@ def _convert(kind, token, what, fail, lineno, col):
     raise fail(message, lineno, col)
 
 
-def load_scenario(path: str | Path) -> ScenarioFile:
+def load_scenario(path: str | os.PathLike[str]) -> ScenarioFile:
     """Read and parse a scenario file; the default id is the file stem.
 
+    Messages name the file as given: ``./x.scenario`` stays as written.
     One leading byte-order mark is dropped after decoding, so that byte
     offsets in a decode error still count from the start of the file.
     """
-    path = Path(path)
+    path = os.fspath(path)
+    if not isinstance(path, str):  # open() would read a bytes path
+        raise TypeError(f"path must be a str or PathLike of str, not {type(path).__name__}")
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(
-            f"not valid UTF-8: {exc.reason} at byte {exc.start}", source=str(path)
+            f"not valid UTF-8: {exc.reason} at byte {exc.start}", source=path
         ) from None
     except ValueError:  # open() refuses a path that holds a NUL character
-        raise ScenarioParseError("embedded null byte", source=repr(str(path))) from None
+        raise ScenarioParseError("embedded null byte", source=repr(path)) from None
     text = text.removeprefix("\ufeff")
-    return parse_scenario(text, source=str(path), default_id=path.stem)
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return parse_scenario(text, source=path, default_id=stem)
 
 
 def serialize_scenario(scenario_file: ScenarioFile) -> str:

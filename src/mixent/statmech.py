@@ -27,8 +27,8 @@ which ``mixing`` reads without loading this module.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF

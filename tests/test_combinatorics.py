@@ -9,6 +9,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from mixent import _check, combinatorics
@@ -142,7 +143,9 @@ class TestCount:
         assert repr(back) == repr(_counts())
 
     def test_occupation_vector(self):
-        assert OccupationVector((2, 3)).total == 5
+        occ = OccupationVector((2, 3))
+        assert occ.total == 5
+        assert (len(occ), list(occ)) == (2, [2, 3])
         with pytest.raises(DomainError, match="at least one cell"):
             OccupationVector(())
 
@@ -188,6 +191,8 @@ class TestBinomial:
     def test_exact_limit_raised(self):
         c = binomial(6000, 3000, exact_limit=6000)
         assert c.value == math.comb(6000, 3000)
+        # an integer that is not an int converts to the same limit
+        assert binomial(6000, 3000, exact_limit=numpy.int64(6000)) == c
 
     def test_n_greater_than_N_rejected(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,8 @@
 """What `import mixent` and each CLI subcommand load, and the public surface.
 
-numpy, fractions and decimal stay off the import path.  `import mixent`
-loads no submodule, and each subcommand loads only the modules it runs.
+numpy, fractions and decimal stay off the import path, and so do typing
+and pathlib.  `import mixent` loads no submodule, and each subcommand
+loads only the modules it runs.
 The package's names resolve lazily to the same objects as before.
 
 Each import check runs in a fresh interpreter, because this test process
@@ -14,8 +15,11 @@ from __future__ import annotations
 
 import functools
 import importlib
+import inspect
 import os
 import pickle
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,9 +57,9 @@ def _env() -> dict[str, str]:
     return env
 
 
-def _run_probe(script: str, *args: str) -> list[str]:
+def _run_probe(script: str, *args: str, flags: tuple[str, ...] = ()) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *flags, "-c", script, *args],
         capture_output=True,
         text=True,
         env=_env(),
@@ -169,6 +173,25 @@ def test_module_import_loads_only_what_it_needs(module, watched, loaded):
     assert _run_probe(IMPORT_PROBE, module, watched) == [loaded]
 
 
+# site may load typing and pathlib before mixent does (a .pth file that
+# imports them, as certifi's does), so these probes run under -S, which
+# skips site; PYTHONPATH still finds src
+TYPING_PATHLIB = "typing,pathlib"
+SUBMODULES = sorted(f"mixent.{m.name}" for m in pkgutil.iter_modules(mixent.__path__))
+
+
+@pytest.mark.parametrize("name", [None, *SUBCOMMANDS])
+def test_import_and_subcommand_load_no_typing_or_pathlib(name):
+    argv = SUBCOMMANDS[name] if name else ()
+    expected = ["import -", "main 0 -"] if name else ["import -"]
+    assert _run_probe(MODULES_PROBE, TYPING_PATHLIB, *argv, flags=("-S",)) == expected
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_import_loads_no_typing_or_pathlib(module):
+    assert _run_probe(IMPORT_PROBE, module, TYPING_PATHLIB, flags=("-S",)) == ["-"]
+
+
 # the probe can fail: a call that loads a watched module shows it
 def test_modules_probe_sees_fractions_once_used():
     probe = MODULES_PROBE.replace(
@@ -278,6 +301,18 @@ def test_public_name_names_its_home_as_its_module():
         if (value := getattr(mixent, name)).__module__ != f"mixent.{HOME[name]}"
     }
     assert wrong == {}
+
+
+# getsource reads a moved class's lines in its public home's file, where
+# the class is not: it finds none (OSError), never another class's lines
+# (3.13 read them at _forms' line numbers)
+@pytest.mark.parametrize("name", ["StirlingForm", "CountingModel", "EntropyResult"])
+def test_getsource_of_a_moved_class_is_its_own_or_none(name):
+    try:
+        source = inspect.getsource(getattr(mixent, name))
+    except OSError:
+        return
+    assert re.match(rf"(@.*\n)*class {name}\b", source)
 
 
 # pickled at protocols 0 and 5 by the code before StirlingForm, CountingModel

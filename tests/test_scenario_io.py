@@ -549,6 +549,15 @@ class TestRoundTrip:
             load_scenario(p)
         assert "broken.scenario" in str(exc.value)
 
+    def test_load_names_the_file_as_given(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "broken.scenario").write_text("nope\n", encoding="utf-8")
+        for given in ("./broken.scenario", ".//broken.scenario"):
+            with pytest.raises(ScenarioParseError, match=f"^{re.escape(given)}:1:"):
+                load_scenario(given)
+        with pytest.raises(TypeError):  # a bytes path, as pathlib refused it
+            load_scenario(b"broken.scenario")
+
 
 @pytest.fixture
 def pair_rows(monkeypatch):
