@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import itertools
 import os
 import sys
@@ -363,5 +364,21 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _entry() -> int:
+    """main() for a process that exits with its code: `python -m mixent.cli`
+    and the installed `mixent` script.
+
+    Freezing the GC after the call lets the interpreter's finalization skip
+    the full collections over every object the process holds, work that
+    only delays its exit.  atexit handlers, the stdio flush and the exit
+    status are unchanged.  main() itself leaves the GC alone, because
+    library callers and tests run it in-process.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -449,13 +451,104 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(text):
         path = Path(tmp, "mutated.scenario")
         path.write_text(text, encoding="utf-8", newline="")
         for argv in (["mix"], ["mix", "--format", "json"], ["sweep-overlap", "--points", "3"]):
-            out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
-                code = main([*argv, "--scenario", str(path)])
-            err = err.getvalue()
-            assert code in (0, 1, 2), (argv, text)
-            assert "Traceback" not in err, (argv, text)
-            if code == 0:
-                assert err == "", (argv, text, err)
-            else:
-                assert err.count("\n") == 1 and err.endswith("\n"), (argv, text, err)
+            _assert_exit_code_contract([*argv, "--scenario", str(path)], text)
+
+
+def _assert_exit_code_contract(argv, context):
+    """main(argv) in-process returns 0, 1 or 2, with no stderr on 0 and one
+    line otherwise; an exception out of main() fails the property."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, context)
+    assert "Traceback" not in err, (argv, context)
+    if code == 0:
+        assert err == "", (argv, context, err)
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, context, err)
+
+
+# ints as a command line gives them: small and signed, either side of the
+# exact-count limit, beyond 64 bits, at the float range's edge, and with
+# about as many digits as int() reads (the interpreter's 4,300-digit limit)
+_INT_TEXT = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.integers(4000, 6000).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from([2**53 + 1, 2**1023, 2**1024, EDGE, -EDGE]).map(str),
+    st.integers(4295, 4305).map(lambda digits: "1" + "0" * (digits - 1)),
+)
+_FLOAT_TEXT = st.one_of(
+    st.floats(1e-3, 1e3).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["1e-320", "1e308", "-0.0", "1_0.5", " 2 "]),
+)
+# an int slot also gets floats, which argparse rejects
+_NUMBER_TEXT = _INT_TEXT | _FLOAT_TEXT
+_LEVELS_TEXT = st.one_of(
+    st.lists(
+        st.tuples(_FLOAT_TEXT, st.none() | _INT_TEXT).map(
+            lambda level: level[0] if level[1] is None else ":".join(level)
+        ),
+        min_size=1,
+        max_size=6,
+    ).map(",".join),
+    st.text(st.sampled_from("0123456789.:,-+e inf"), max_size=12),
+)
+# MIXENT_KB unset (None), one of its values in any case, or other text;
+# an environment value holds no NUL and no lone surrogate
+_KB = st.one_of(
+    st.none(),
+    st.sampled_from(["si", "SI", " reduced ", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=4),
+)
+
+
+@st.composite
+def _count_argv(draw):
+    kind = draw(st.sampled_from(["binomial", "bose", "bose-approx", "symbols", "multiplicity"]))
+    if kind != "multiplicity":
+        return ["count", kind, draw(_NUMBER_TEXT), draw(_NUMBER_TEXT)]
+    cells = draw(st.integers(1, 4))
+    occ, deg = (",".join(draw(_NUMBER_TEXT) for _ in range(cells)) for _ in range(2))
+    return ["count", kind, "--occ", occ, "--deg", deg]
+
+
+@st.composite
+def _near_str_limit_argv(draw):
+    """An exact count of about 4,300 digits: g^n for g = 9 or 10."""
+    n, g = str(draw(st.integers(4290, 4310))), draw(st.sampled_from(["9", "10"]))
+    if draw(st.booleans()):
+        return ["count", "symbols", n, g]
+    return ["count", "multiplicity", "--occ", n, "--deg", g]
+
+
+@st.composite
+def _entropy_argv(draw):
+    argv = ["entropy", "--N", draw(_INT_TEXT), "--T", draw(_FLOAT_TEXT)]
+    gas = draw(st.sampled_from(["V", "V", "levels", "levels", "both"]))
+    if gas != "levels":
+        argv += ["--V", draw(_FLOAT_TEXT)]
+    if gas != "V":
+        argv += ["--levels", draw(_LEVELS_TEXT)]
+    for flag, values in (
+        ("--model", [m.value for m in CountingModel]),
+        ("--stirling-form", [f.value for f in StirlingForm]),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from([*values, "bogus"]))]
+    if draw(st.booleans()):
+        argv += ["--constant", draw(_FLOAT_TEXT)]
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(argv=_count_argv() | _near_str_limit_argv() | _entropy_argv(), kb=_KB)
+def test_generated_count_and_entropy_argv_keep_the_exit_code_contract(argv, kb):
+    """Generated numbers in every count and entropy slot, under any MIXENT_KB."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MIXENT_KB", None)
+        if kb is not None:
+            os.environ["MIXENT_KB"] = kb
+        _assert_exit_code_contract(argv, kb)

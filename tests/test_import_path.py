@@ -13,7 +13,9 @@ reads its own modules from that run.
 
 from __future__ import annotations
 
+import ast
 import functools
+import gc
 import importlib
 import inspect
 import os
@@ -27,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import mixent
+from mixent import cli
 
 SRC = Path(mixent.__file__).resolve().parents[1]
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "partial_overlap.scenario"
@@ -201,8 +204,9 @@ def test_modules_probe_sees_fractions_once_used():
     assert _run_probe(probe, EXACT_ARITHMETIC) == ["import fractions,decimal"]
 
 
-# `python -m mixent.cli` runs cli.py's `sys.exit(main())`, which in-process
-# tests never reach: the exit status, stdout to the byte, one stderr line
+# `python -m mixent.cli` runs cli.py's `__main__` block, `sys.exit(_entry())`,
+# which in-process tests never reach: the exit status, stdout to the byte,
+# one stderr line
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -228,6 +232,59 @@ def test_python_m_mixent_cli(argv, code):
         assert proc.stdout == b""
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
         assert b"Traceback" not in proc.stderr
+
+
+# site imports sitecustomize from PYTHONPATH; its atexit hook runs after the
+# process's call has returned
+FREEZE_HOOK = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+"""
+
+
+def test_python_m_mixent_cli_exits_with_the_gc_frozen(tmp_path):
+    # the finalizer's collections skip frozen objects; atexit still runs and
+    # a block-buffered stdout is still flushed
+    (tmp_path / "sitecustomize.py").write_text(FREEZE_HOOK, encoding="utf-8")
+    env = _env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixent.cli", "mix", "--scenario",
+         "scenarios/distinct_full.scenario"],
+        capture_output=True,
+        cwd=SCENARIO.parents[1],
+        env=env,
+        timeout=60,
+    )
+    golden = Path(__file__).resolve().parent / "golden" / "distinct_full.mix.csv"
+    assert (proc.returncode, proc.stderr) == (0, b"frozen at exit: True\n")
+    assert proc.stdout == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_main_in_process_leaves_the_gc_unfrozen(name, capsys, monkeypatch):
+    monkeypatch.delenv("MIXENT_KB", raising=False)
+    frozen = gc.get_freeze_count()
+    assert cli.main(list(SUBCOMMANDS[name])) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_script_is_the_main_block_entry():
+    # the installed `mixent` and `python -m mixent.cli` call the same function
+    tomllib = pytest.importorskip("tomllib")
+    with open(SCENARIO.parents[1] / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    [statement] = block.body
+    [entry] = statement.value.args
+    assert ast.unparse(statement.value.func) == "sys.exit"
+    assert scripts == {"mixent": f"mixent.cli:{ast.unparse(entry.func)}"}
+    assert not entry.args and not entry.keywords
 
 
 # every public name but __version__ -> the submodule that defines it
