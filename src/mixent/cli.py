@@ -23,11 +23,10 @@ entropy, mix and sweep-overlap print units, so only they read it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
-import itertools
 import os
+import re
 import sys
 
 from ._forms import CountingModel, StirlingForm
@@ -36,11 +35,6 @@ from .errors import DomainError, ScenarioParseError
 # combinatorics, statmech, mixing, scenario_io, oracle and json are imported
 # by the handlers that use them, so each call loads only what its subcommand
 # runs; the parser's choices come from _forms
-TYPE_CHECKING = False  # typing's, without loading typing; checkers read True
-if TYPE_CHECKING:
-    from collections.abc import Iterator
-
-    from .mixing import MixingScenario
 
 KB_SI = 1.380649e-23  # J/K
 
@@ -50,7 +44,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse whose errors reach main(), to print as one stderr line."""
+    """argparse whose errors reach main(), to print as one stderr line, and
+    that reads an argument starting like a negative number (-1e-05, -inf,
+    -nan, -1:2) as a value, as after '='; no mixent option starts so."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        # private argparse API, pinned by tests; its own takes only -1 and -1.5
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(?i:inf|nan)")
 
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
@@ -212,30 +213,19 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overlap_grid(base: MixingScenario, points: int) -> Iterator[MixingScenario]:
-    """``base`` with every species pair at q = 0, 1/(points-1), ..., 1."""
-    from .mixing import SpeciesOverlap
-
-    pairs = list(itertools.combinations(base.species(), 2))
-    for i in range(points):
-        q = i / (points - 1)
-        overlaps = tuple(SpeciesOverlap(a, b, q) for a, b in pairs)
-        yield dataclasses.replace(base, overlaps=overlaps)
-
-
 def _cmd_mix(args: argparse.Namespace) -> int:
     """mix (no --points): one row for the file's own scenario;
-    sweep-overlap: one row per point of the overlap grid."""
+    sweep-overlap: one row per q = i/(points-1), every species pair at q."""
     scale, units = _resolve_units()
-    from .mixing import mixing_entropy
+    from .mixing import _reports
     from .scenario_io import load_scenario
 
     scenario_file = load_scenario(args.scenario)
-    base = scenario_file.scenario
-    scenarios = (base,) if args.points is None else _overlap_grid(base, args.points)
+    scenario = scenario_file.scenario
+    points = args.points
+    grid = (None,) if points is None else [i / (points - 1) for i in range(points)]
     rows = []
-    for scenario in scenarios:
-        report = mixing_entropy(scenario)
+    for report in _reports(scenario, grid):
         rows.append({
             "scenario": scenario_file.id,
             "model": scenario.model.value,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -276,19 +276,22 @@ def _report(
 
 
 def _species_term(
-    scenario: MixingScenario, per_species: dict[str, int]
+    scenario: MixingScenario, per_species: dict[str, int], grid_q: float | None = None
 ) -> tuple[float, float]:
     """The weighted inter-species term over per-species totals N_s, and its q.
 
     The overlap rule: one species has q = 1; two, their pair overlap (0 if
-    unlisted); more must all agree, since the weighting is global.  Only
-    pairs of species in per_species are read.  Distinguishable counting
-    never notices species (+0.0); otherwise ln(N! / prod N_s!) under the
-    form, scaled by the weighting (inf or NaN is left to the caller).
+    unlisted); more must all agree, since the weighting is global.  A
+    grid_q sets every pair.  Only pairs of species in per_species are read.
+    Distinguishable counting never notices species (+0.0); otherwise
+    ln(N! / prod N_s!) under the form, scaled by the weighting (inf or NaN
+    is left to the caller).
     """
-    table = scenario._overlap_table
-    pairs = itertools.combinations(sorted(per_species), 2)  # none for one species
-    values = set(map(table.get, pairs, itertools.repeat(0.0)))
+    if grid_q is None:
+        pairs = itertools.combinations(sorted(per_species), 2)  # none for one species
+        values = set(map(scenario._overlap_table.get, pairs, itertools.repeat(0.0)))
+    else:
+        values = {grid_q} if len(per_species) > 1 else set()
     if len(values) > 1:
         raise DomainError(
             "pairwise overlaps must all agree when more than two species mix; "
@@ -315,8 +318,8 @@ def _summarize(compartments: object) -> tuple[tuple[GasCompartment, ...], tuple]
 
     Every compartment check of MixingScenario is here.  The last summary
     is reused while the same tuple object comes back, as it does for
-    copies, replaced scenarios and sweep points; any other value is
-    checked and summarized anew.  Nothing remembered here comes from the
+    copies and replaced scenarios; any other value is checked and
+    summarized anew.  Nothing remembered here comes from the
     Stirling forms, _species_term or _report, so a call that reuses a
     summary still goes through each of them.
     """
@@ -395,6 +398,11 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     one species in the final volume, less the unclamped first piece.  A
     density or an entropy beyond the float range is a DomainError.
     """
+    return next(_reports(scenario, (None,)))
+
+
+def _reports(scenario: MixingScenario, grid: Iterable) -> Iterator[MixingReport]:
+    """mixing_entropy per grid_q in ``grid``; None keeps the scenario's overlaps."""
     T = scenario.temperature
     model = scenario.model
     form = scenario.stirling_form
@@ -415,10 +423,11 @@ def mixing_entropy(scenario: MixingScenario) -> MixingReport:
     S_merged = _ideal_gas_S(float(N_total), V_final, T, model, form, 0.0)
     initial = _entropy_result(S_merged - gain, N_total, model, form)
 
-    delta_species, q = _species_term(scenario, per_species)
-    delta_S = delta_density + delta_species
-    # S_final is inf or NaN if delta_S is: one check covers both
-    return _report(initial, initial.S + delta_S, delta_S, N_total, T, q)
+    for grid_q in grid:
+        delta_species, q = _species_term(scenario, per_species, grid_q)
+        delta_S = delta_density + delta_species
+        # S_final is inf or NaN if delta_S is: one check covers both
+        yield _report(initial, initial.S + delta_S, delta_S, N_total, T, q)
 
 
 def partition_change_entropy(

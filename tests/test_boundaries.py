@@ -454,13 +454,18 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(text):
             _assert_exit_code_contract([*argv, "--scenario", str(path)], text)
 
 
-def _assert_exit_code_contract(argv, context):
-    """main(argv) in-process returns 0, 1 or 2, with no stderr on 0 and one
-    line otherwise; an exception out of main() fails the property."""
+def _main_output(argv):
+    """main(argv) in-process: its code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    err = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_code_contract(argv, context):
+    """main(argv) in-process returns 0, 1 or 2, with no stderr on 0 and one
+    line otherwise; an exception out of main() fails the property."""
+    code, _, err = _main_output(argv)
     assert code in (0, 1, 2), (argv, context)
     assert "Traceback" not in err, (argv, context)
     if code == 0:
@@ -483,6 +488,8 @@ _FLOAT_TEXT = st.one_of(
     st.floats(1e-3, 1e3).map(repr),
     st.floats().map(repr),
     st.sampled_from(["1e-320", "1e308", "-0.0", "1_0.5", " 2 "]),
+    # negative spellings that argparse alone takes for option strings
+    st.sampled_from(["-1e-05", "-1E+3", "-.5", "-inf", "-Infinity", "-nan"]),
 )
 # an int slot also gets floats, which argparse rejects
 _NUMBER_TEXT = _INT_TEXT | _FLOAT_TEXT
@@ -552,3 +559,22 @@ def test_generated_count_and_entropy_argv_keep_the_exit_code_contract(argv, kb):
         if kb is not None:
             os.environ["MIXENT_KB"] = kb
         _assert_exit_code_contract(argv, kb)
+
+
+# the number options of entropy; _entropy_argv draws their values from
+# _INT_TEXT and _FLOAT_TEXT
+_NUMBER_FLAGS = frozenset(["--N", "--T", "--V", "--constant"])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(argv=_entropy_argv())
+def test_a_spaced_number_reads_as_after_equals(argv):
+    """A drawn number after --N, --T, --V or --constant gives the same exit
+    code, stdout and stderr as the same number written after '='."""
+    pairs = zip(argv[1::2], argv[2::2])  # every argument after entropy is a pair
+    joined = ["entropy"]
+    for flag, value in pairs:
+        joined += [f"{flag}={value}"] if flag in _NUMBER_FLAGS else [flag, value]
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MIXENT_KB", None)
+        assert _main_output(argv) == _main_output(joined), argv

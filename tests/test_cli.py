@@ -173,6 +173,30 @@ class TestEntropy:
         )
         assert code == 1
 
+    # argparse alone reads -1e-05 or -inf after a space as an option string
+    @pytest.mark.parametrize(
+        "flag, value, code",
+        [
+            ("--constant", "-1e-05", 0),
+            ("--constant", "-1E+2", 0),
+            ("--constant", "-.5", 0),
+            ("--V", "-1e-05", 1),
+            ("--V", "-inf", 1),
+            ("--V", "-Infinity", 1),
+            ("--V", "-nan", 1),
+            ("--levels", "-1:1,0:2", 0),
+            ("--N", "-1e5", 2),
+        ],
+    )
+    def test_negative_number_reads_as_after_equals(self, capsys, flag, value, code):
+        argv = ["entropy", "--T", "1.0"]
+        argv += [] if flag == "--N" else ["--N", "10"]
+        argv += [] if flag in ("--V", "--levels") else ["--V", "1.0"]
+        spaced = run(capsys, *argv, flag, value)
+        assert spaced == run(capsys, *argv, f"{flag}={value}")
+        assert spaced[0] == code
+        assert "expected one argument" not in spaced[2]
+
     def test_overflowing_N_exit_1(self, capsys):
         code, out, err = run(
             capsys, "entropy", "--N", "1" + "0" * 400, "--T", "1", "--V", "1"
@@ -255,6 +279,14 @@ class TestUnitsEnvironment:
         assert err.count("\n") == 1
 
 
+# three species whose pairs disagree: mix rejects it, a sweep replaces them
+UNEQUAL_OVERLAPS = (
+    "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 1.0\n"
+    "compartment = c 10 1.0 1.0\noverlap = a b 0.25\n"
+    "overlap = a c 0.75\noverlap = b c 0.25\n"
+)
+
+
 class TestMix:
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -327,9 +359,7 @@ class TestMix:
                 "scenario must be isothermal: ",
             ),
             (
-                "compartment = a 10 1.0 1.0\ncompartment = b 10 1.0 1.0\n"
-                "compartment = c 10 1.0 1.0\noverlap = a b 0.25\n"
-                "overlap = a c 0.75\noverlap = b c 0.25\n",
+                UNEQUAL_OVERLAPS,
                 "pairwise overlaps must all agree when more than two species mix; ",
             ),
         ],
@@ -481,6 +511,21 @@ class TestSweepOverlap:
         assert len(data) == 2
         assert data[0]["overlap"] == 0.0
         assert data[1]["overlap"] == 1.0
+
+    def test_grid_replaces_unequal_overlaps(self, capsys, tmp_path):
+        path = tmp_path / "unequal.scenario"
+        path.write_text(UNEQUAL_OVERLAPS, encoding="utf-8")
+        code, out, err = run(capsys, "mix", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert "must all agree" in err
+        code, out, err = run(
+            capsys, "sweep-overlap", "--scenario", str(path), "--points", "3"
+        )
+        assert (code, err) == (0, "")
+        rows = parse_csv(out)
+        assert [float(r["overlap"]) for r in rows] == [0.0, 0.5, 1.0]
+        assert float(rows[0]["delta_S"]) == pytest.approx(30 * math.log(3), rel=1e-11)
+        assert float(rows[2]["delta_S"]) == 0.0
 
     def test_too_few_points_exit_2(self, capsys):
         code, _, err = run(

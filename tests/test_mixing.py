@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from mixent import mixing
-from mixent.cli import _overlap_grid
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError
 from mixent.mixing import (
@@ -779,9 +778,68 @@ class TestCompartmentSummary:
 
     def test_every_sweep_point_shares_the_base_tuple(self):
         base = load_scenario(ROOT / "scenarios" / "partial_overlap.scenario").scenario
-        points = list(_overlap_grid(base, 5))
+        points = [_sweep_point(base, i / 4) for i in range(5)]
         assert len(points) == 5
         assert all(p.compartments is base.compartments for p in points)
+
+
+def _sweep_point(base, q):
+    """The reference for a sweep point: ``base`` rebuilt with every species
+    pair at overlap q, as a caller would build it."""
+    return dataclasses.replace(base, overlaps=_overlaps(base, q))
+
+
+class TestSweepReports:
+    """mixing._reports at a grid q, as sweep-overlap calls it, gives what
+    mixing_entropy gives for the scenario rebuilt with every pair at q."""
+
+    @staticmethod
+    def _scenarios(rng, model, form, weighting):
+        """One, two and three species; the three carry unequal overlaps,
+        which mixing_entropy rejects and a sweep replaces."""
+        T = rng.uniform(0.1, 10.0)
+        for names in (["a"], ["a", "b"], ["a", "b", "c"]):
+            comps = tuple(
+                GasCompartment(
+                    names[i] if i < len(names) else rng.choice(names),
+                    rng.randint(1, 10**6),
+                    rng.uniform(0.05, 8.0),
+                    T,
+                )
+                for i in range(rng.randint(len(names), 5))
+            )
+            overlaps = tuple(
+                SpeciesOverlap(a, b, q)
+                for (a, b), q in zip(
+                    itertools.combinations(names, 2), rng.sample([0.1, 0.4, 0.7], 3)
+                )
+            )
+            yield MixingScenario.from_compartments(
+                comps,
+                overlaps=overlaps,
+                model=model,
+                stirling_form=form,
+                weighting=weighting,
+            )
+
+    @pytest.mark.parametrize("model", list(CountingModel))
+    @pytest.mark.parametrize("form", list(StirlingForm))
+    @pytest.mark.parametrize("weighting", list(Weighting))
+    def test_each_point_is_the_replaced_scenario(self, model, form, weighting):
+        rng = random.Random(f"3101 {model.value} {form.value} {weighting.value}")
+        for base in self._scenarios(rng, model, form, weighting):
+            points = rng.randint(2, 12)
+            grid = [i / (points - 1) for i in range(points)] + [rng.random()]
+            reports = list(mixing._reports(base, grid))
+            assert len(reports) == len(grid)
+            for q, report in zip(grid, reports):
+                expected = mixing_entropy(_sweep_point(base, q))
+                assert repr(report) == repr(expected), (base, q)
+            if len(base.species()) == 1:
+                assert {r.overlap_applied for r in reports} == {1.0}
+            if len(base.species()) == 3:
+                with pytest.raises(DomainError, match="must all agree"):
+                    mixing_entropy(base)
 
 
 class _Sentinel(Exception):
