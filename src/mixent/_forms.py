@@ -1,17 +1,17 @@
 """The counting vocabulary that every entropy is built on.
 
-The Stirling forms of ln n!, the counting models, the entropy result and
-the three formulas on them that mixing needs (``_log_multinomial``,
-``_entropy_result`` and ``_ideal_gas_S``).  They live here, apart from
-the rest of ``combinatorics`` and ``statmech``, so that ``mixing``,
-``scenario_io`` and the CLI's parser load them without loading those two
-modules.  Those modules re-export them, and each class names its public
-home as its ``__module__``, so pickles and ``help()`` read as before.
+The Stirling forms of ln n!, the counting models, and the three rules on
+them that mixing needs (``_log_multinomial``, ``_ideal_gas_S`` and the
+entropy result check ``_entropy``).  They live here, apart from the rest
+of ``combinatorics`` and ``statmech``, so that ``mixing``, the scenario
+core (``_scenario``) and the CLI's parser load them without loading those
+two modules, and without ``dataclasses``.  Those modules re-export them,
+and each class names its public home as its ``__module__`` (``_publish``),
+so pickles and ``help()`` read as before.
 """
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _check
@@ -131,25 +131,12 @@ class CountingModel(Enum):
     BOSE_APPROXIMATE = "bose-approximate"
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    """Entropy in units of k_B, tagged with how it was counted."""
-
-    S: float
-    per_particle: float
-    model: CountingModel
-    stirling_form: StirlingForm
-
-
-def _entropy_result(
-    S: float, N: int, model: CountingModel, stirling_form: StirlingForm
-) -> EntropyResult:
-    """The one way an EntropyResult is made: S must be a finite float."""
+def _entropy(S: float, N: int) -> float:
+    """S, which must be a finite float: the check every reported entropy
+    passes, naming the particle number N."""
     if not math.isfinite(S):
         raise DomainError(f"entropy overflows a float at N = {N:.6g} particles")
-    return EntropyResult(
-        S=S, per_particle=S / N, model=model, stirling_form=stirling_form
-    )
+    return S
 
 
 def _ideal_gas_S(
@@ -172,14 +159,26 @@ def _ideal_gas_S(
     return S - stirling_form._log_factorials((n,))[0]
 
 
-# Each class's public home, set only now: while it decorates a class,
-# dataclasses reads sys.modules[cls.__module__], and the home may not be
-# loaded yet (an AttributeError on 3.11)
-StirlingForm.__module__ = f"{__package__}.combinatorics"
-CountingModel.__module__ = EntropyResult.__module__ = f"{__package__}.statmech"
-# 3.13's __firstlineno__ counts lines of this file, but inspect.getsource
-# reads them in the public home's; without it getsource raises OSError
-for _cls in (StirlingForm, CountingModel, EntropyResult):
-    if "__firstlineno__" in _cls.__dict__:
-        delattr(_cls, "__firstlineno__")
-del _cls
+def _publish(home: str, *objects: object) -> None:
+    """Name the public module ``home`` as each object's ``__module__``, so
+    that pickles and ``help()`` name the home, not the private module that
+    defines it.
+
+    ``home`` is one string object per module: a pickle memoizes the name
+    of each class it writes by identity, so the classes of one home must
+    share it, as the classes defined in the home share its ``__name__``.
+    A class must be complete first: while it decorates a class,
+    dataclasses reads sys.modules[cls.__module__], and the home may not be
+    loaded yet (an AttributeError on 3.11).  3.13's __firstlineno__ counts
+    lines of the defining file, but inspect.getsource reads them in the
+    home's; without it getsource raises OSError instead of returning
+    another object's lines.
+    """
+    for obj in objects:
+        obj.__module__ = home
+        if "__firstlineno__" in obj.__dict__:
+            delattr(obj, "__firstlineno__")
+
+
+_publish(f"{__package__}.combinatorics", StirlingForm)
+_publish(f"{__package__}.statmech", CountingModel)

@@ -32,9 +32,9 @@ import sys
 from ._forms import CountingModel, StirlingForm
 from .errors import DomainError, ScenarioParseError
 
-# combinatorics, statmech, mixing, scenario_io, oracle and json are imported
-# by the handlers that use them, so each call loads only what its subcommand
-# runs; the parser's choices come from _forms
+# combinatorics, statmech, the scenario core (_scenario), oracle and json
+# are imported by the handlers that use them, so each call loads only what
+# its subcommand runs; the parser's choices come from _forms
 
 KB_SI = 1.380649e-23  # J/K
 
@@ -215,27 +215,26 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 def _cmd_mix(args: argparse.Namespace) -> int:
     """mix (no --points): one row for the file's own scenario;
-    sweep-overlap: one row per q = i/(points-1), every species pair at q."""
+    sweep-overlap: one row per q = i/(points-1), every species pair at q.
+    Both run the scenario core on its plain records, without dataclasses."""
     scale, units = _resolve_units()
-    from .mixing import _reports
-    from .scenario_io import load_scenario
+    from ._scenario import _reports, load
 
-    scenario_file = load_scenario(args.scenario)
-    scenario = scenario_file.scenario
+    scenario_id, scenario = load(args.scenario)
     points = args.points
     grid = (None,) if points is None else [i / (points - 1) for i in range(points)]
     rows = []
-    for report in _reports(scenario, grid):
+    for _, S_initial, S_final, delta_S, work, q in _reports(scenario, grid):
         rows.append({
-            "scenario": scenario_file.id,
+            "scenario": scenario_id,
             "model": scenario.model.value,
             "stirling_form": scenario.stirling_form.value,
             "weighting": scenario.weighting.value,
-            "overlap": report.overlap_applied,
-            "S_initial": report.S_initial.S * scale,
-            "S_final": report.S_final.S * scale,
-            "delta_S": report.delta_S * scale,
-            "separation_work": report.separation_work * scale,
+            "overlap": q,
+            "S_initial": S_initial * scale,
+            "S_final": S_final * scale,
+            "delta_S": delta_S * scale,
+            "separation_work": work * scale,
             "units": units,
         })
     _emit(rows, args.format)

@@ -20,8 +20,8 @@ entropy exactly extensive.
 The level arithmetic is plain ``math`` over Python lists: ensembles are a
 handful to ten thousand levels, where numpy's import costs more than it
 saves.  numpy is not a dependency: :func:`occupations` returns a tuple of
-floats.  ``CountingModel`` and ``EntropyResult`` are defined in ``_forms``,
-which ``mixing`` reads without loading this module.
+floats.  ``CountingModel`` is defined in ``_forms`` and ``EntropyResult``
+in ``_result``, which ``mixing`` reads without loading this module.
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ from dataclasses import dataclass
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
-from ._forms import (
-    CountingModel,
-    EntropyResult,
-    StirlingForm,
-    _entropy_result,
-    _ideal_gas_S,
-)
+from ._forms import CountingModel, StirlingForm, _entropy, _ideal_gas_S
+from ._result import EntropyResult
 from .errors import DomainError
 
 __all__ = [*_EXPORTS["statmech"]]
@@ -166,6 +161,16 @@ def internal_energy(ensemble: EnsembleSpec) -> float:
     if not math.isfinite(U):
         raise DomainError(f"internal energy overflows a float at N = {ensemble.N:.6g}")
     return U
+
+
+def _entropy_result(
+    S: float, N: int, model: CountingModel, stirling_form: StirlingForm
+) -> EntropyResult:
+    """The EntropyResult of S for N particles: S passes ``_forms._entropy``."""
+    S = _entropy(S, N)
+    return EntropyResult(
+        S=S, per_particle=S / N, model=model, stirling_form=stirling_form
+    )
 
 
 def entropy_from_levels(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -31,6 +33,7 @@ from mixent import (
     OccupationVector,
     SpeciesOverlap,
     StirlingForm,
+    Weighting,
     binomial,
     classical_symbol_states,
     entropy_from_levels,
@@ -53,8 +56,9 @@ from mixent import (
     separation_work,
     verify_counting,
 )
+from mixent import _scenario
 from mixent.cli import main
-from mixent.errors import DomainError
+from mixent.errors import DomainError, ScenarioParseError
 
 BIG = 10**400  # beyond the float range
 EDGE = 10**308  # fits a float; the sum of two does not
@@ -452,6 +456,98 @@ def test_mutated_scenario_files_keep_the_exit_code_contract(text):
         path.write_text(text, encoding="utf-8", newline="")
         for argv in (["mix"], ["mix", "--format", "json"], ["sweep-overlap", "--points", "3"]):
             _assert_exit_code_contract([*argv, "--scenario", str(path)], text)
+
+
+# The CLI runs the scenario core on its plain records; the library runs
+# the same core under the public dataclasses.  Both paths must give the
+# same bits, or the same exception type and message, on every input.
+GRIDS = [(None,), *([i / (n - 1) for i in range(n)] for n in (2, 3, 11, 101))]
+
+
+def _outcome(build, text, grid):
+    """The rows of plain numbers (S_initial, S_final, delta_S, work, q) for
+    ``text`` at each grid q, or the exception type and message, as a repr
+    (which tells -0.0 from 0.0 and writes every float exactly)."""
+    try:
+        return repr(build(text, grid))
+    except (DomainError, ScenarioParseError) as exc:
+        return repr((type(exc), str(exc)))
+
+
+def _core_rows(text, grid):
+    """The CLI's path: the core parser's plain records, then _reports."""
+    _, scenario = _scenario.parse(text, "x.scenario", "x")
+    return [row[1:] for row in _scenario._reports(scenario, grid)]
+
+
+def _public_rows(text, grid):
+    """The library's path: parse_scenario's public objects, then
+    mixing_entropy for the file's own overlaps, or _reports over a grid."""
+    scenario = parse_scenario(text, source="x.scenario", default_id="x").scenario
+    if grid == (None,):
+        r = mixing_entropy(scenario)
+        return [(r.S_initial.S, r.S_final.S, r.delta_S, r.separation_work, r.overlap_applied)]
+    return [row[1:] for row in _scenario._reports(scenario, grid)]
+
+
+def _assert_paths_agree(text):
+    for grid in GRIDS:
+        core = _outcome(_core_rows, text, grid)
+        assert core == _outcome(_public_rows, text, grid), (text, grid)
+
+
+@pytest.mark.parametrize(
+    "text", SCENARIO_TEXTS, ids=[p.stem for p in sorted(SCENARIO.parent.glob("*.scenario"))]
+)
+def test_core_and_public_paths_agree_on_shipped_scenarios(text):
+    _assert_paths_agree(text)
+    assert "Error" not in _outcome(_core_rows, text, (None,))
+
+
+def test_core_and_public_paths_agree_at_the_value_slots():
+    for template in SCENARIO_SLOTS:
+        for value in BAD_VALUES + ["0.5", "1e-300", "1e300"]:
+            _assert_paths_agree(template.format(value, value))
+
+
+def _seeded_texts(rng, model, form, weighting):
+    """Scenario texts under one model, form and weighting: one to three
+    species, three of them at times with unequal overlaps, and at times a
+    final volume off the summed one."""
+    for _ in range(4):
+        names = [f"sp{k}" for k in range(rng.randint(1, 3))]
+        T = rng.uniform(0.1, 10.0)
+        lines = [f"model = {model.value}", f"stirling_form = {form.value}"]
+        lines.append(f"weighting = {weighting.value}")
+        volume = 0.0
+        for i in range(rng.randint(len(names), 8)):
+            V = rng.uniform(0.05, 8.0)
+            volume += V
+            name = names[i] if i < len(names) else rng.choice(names)
+            lines.append(f"compartment = {name} {rng.randint(1, 10**6)} {V!r} {T!r}")
+        q = rng.random()
+        for a, b in itertools.combinations(names, 2):
+            lines.append(f"overlap = {a} {b} {rng.choice([q, rng.random()])!r}")
+        if rng.random() < 0.3:
+            lines.append(f"final_volume = {volume * rng.choice([1.0, 1.5])!r}")
+        yield "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("model", list(CountingModel))
+@pytest.mark.parametrize("form", list(StirlingForm))
+@pytest.mark.parametrize("weighting", list(Weighting))
+def test_core_and_public_paths_agree_under_every_model_form_and_weighting(
+    model, form, weighting
+):
+    rng = random.Random(f"3201 {model.value} {form.value} {weighting.value}")
+    for text in _seeded_texts(rng, model, form, weighting):
+        _assert_paths_agree(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(text=_mutated_scenarios())
+def test_core_and_public_paths_agree_on_mutated_scenarios(text):
+    _assert_paths_agree(text)
 
 
 def _main_output(argv):

@@ -2,7 +2,8 @@
 
 numpy, fractions and decimal stay off the import path, and so do typing
 and pathlib.  `import mixent` loads no submodule, and each subcommand
-loads only the modules it runs.
+loads only the modules it runs: `mix` and `sweep-overlap` run the
+scenario core alone, without dataclasses.
 The package's names resolve lazily to the same objects as before.
 
 Each import check runs in a fresh interpreter, because this test process
@@ -89,7 +90,7 @@ EXACT_ARITHMETIC = "fractions,decimal"
 # mixent's submodules beyond the parser's (cli, errors, _forms, _check),
 # and json
 FOOTPRINT = (
-    "mixent.mixing,mixent.scenario_io,mixent.oracle,"
+    "mixent._scenario,mixent.mixing,mixent.scenario_io,mixent.oracle,"
     "mixent.combinatorics,mixent.statmech,json"
 )
 # subcommand -> the watched modules it loads, in FOOTPRINT order
@@ -98,11 +99,15 @@ LOADED_BY = {
     "count-multiplicity": "mixent.combinatorics",
     "entropy-V": "mixent.statmech",
     "entropy-levels": "mixent.statmech",
-    "mix-csv": "mixent.mixing,mixent.scenario_io",
-    "mix-json": "mixent.mixing,mixent.scenario_io,json",
-    "sweep-overlap": "mixent.mixing,mixent.scenario_io",
+    "mix-csv": "mixent._scenario",
+    "mix-json": "mixent._scenario,json",
+    "sweep-overlap": "mixent._scenario",
     "oracle-check": "mixent.oracle,mixent.combinatorics",
 }
+# dataclasses imports inspect, and inspect about ten more modules; the
+# scenario subcommands load neither, the others load both
+DATACLASSES = "dataclasses,inspect"
+SCENARIO_SUBCOMMANDS = ("mix-csv", "mix-json", "sweep-overlap")
 
 
 @functools.cache
@@ -110,7 +115,8 @@ def _probe(name: str | None) -> tuple[str, ...]:
     """The probe's lines for one subcommand (None: bare import), watching
     every module the tests below ask about: one interpreter per subcommand."""
     argv = SUBCOMMANDS[name] if name else ()
-    return tuple(_run_probe(MODULES_PROBE, f"numpy,{EXACT_ARITHMETIC},{FOOTPRINT}", *argv))
+    watched = f"numpy,{EXACT_ARITHMETIC},{FOOTPRINT},{DATACLASSES}"
+    return tuple(_run_probe(MODULES_PROBE, watched, *argv))
 
 
 def _seen(name: str | None, modules: str) -> list[str]:
@@ -151,6 +157,14 @@ def test_cli_subcommand_loads_only_what_it_runs(name):
     assert _seen(name, FOOTPRINT) == ["import -", f"main 0 {LOADED_BY[name]}"]
 
 
+# count, entropy and oracle-check build dataclasses, which shows the probe
+# sees them once loaded
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_only_the_scenario_subcommands_skip_dataclasses(name):
+    loaded = "-" if name in SCENARIO_SUBCOMMANDS else DATACLASSES
+    assert _seen(name, DATACLASSES) == ["import -", f"main 0 {loaded}"]
+
+
 # imports the module argv[1] names and prints which of the modules named in
 # argv[2] are loaded ("-" for none)
 IMPORT_PROBE = """
@@ -161,16 +175,20 @@ print(",".join(m for m in sys.argv[2].split(",") if m in sys.modules) or "-")
 
 
 # the library apart from the CLI: mixing needs only the counting vocabulary
-# of _forms, and statmech nothing of combinatorics; the oracle, which counts
-# with combinatorics, shows that the probe sees a loaded module
+# of _forms, and statmech nothing of combinatorics; the CLI module and the
+# scenario core need no dataclasses and no public scenario module; the
+# oracle, which counts with combinatorics, shows that the probe sees a
+# loaded module
 @pytest.mark.parametrize(
     "module, watched, loaded",
     [
         ("mixent.mixing", "mixent.combinatorics,mixent.statmech", "-"),
         ("mixent.statmech", "mixent.combinatorics", "-"),
+        ("mixent.cli", f"{DATACLASSES},mixent._scenario", "-"),
+        ("mixent._scenario", f"{DATACLASSES},mixent.mixing,mixent.scenario_io", "-"),
         ("mixent.oracle", "mixent.combinatorics,mixent.statmech", "mixent.combinatorics"),
     ],
-    ids=["mixing", "statmech", "oracle"],
+    ids=["mixing", "statmech", "cli", "_scenario", "oracle"],
 )
 def test_module_import_loads_only_what_it_needs(module, watched, loaded):
     assert _run_probe(IMPORT_PROBE, module, watched) == [loaded]
@@ -351,7 +369,8 @@ def test_public_name_is_the_submodule_object(name):
 
 
 def test_public_name_names_its_home_as_its_module():
-    # StirlingForm, CountingModel and EntropyResult are defined in _forms
+    # StirlingForm and CountingModel are defined in _forms, EntropyResult in
+    # _result, Weighting and separation_work in _scenario
     wrong = {
         name: value.__module__
         for name in HOME
@@ -363,7 +382,9 @@ def test_public_name_names_its_home_as_its_module():
 # getsource reads a moved class's lines in its public home's file, where
 # the class is not: it finds none (OSError), never another class's lines
 # (3.13 read them at _forms' line numbers)
-@pytest.mark.parametrize("name", ["StirlingForm", "CountingModel", "EntropyResult"])
+@pytest.mark.parametrize(
+    "name", ["StirlingForm", "CountingModel", "EntropyResult", "Weighting"]
+)
 def test_getsource_of_a_moved_class_is_its_own_or_none(name):
     try:
         source = inspect.getsource(getattr(mixent, name))

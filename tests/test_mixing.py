@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mixent import mixing
+from mixent import _check, _scenario, mixing
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError
 from mixent.mixing import (
@@ -609,7 +609,7 @@ class TestEntropyBeyondFloatRange:
 
 class TestOneReportBuilder:
     """Every MixingReport is made by mixing._report, and every species term
-    by mixing._species_term: with either refusing, each call that goes
+    by _scenario._species_term: with either refusing, each call that goes
     through it raises under every model, form and weighting, and the others
     still succeed.  The report each call returns is the one _report built."""
 
@@ -632,7 +632,8 @@ class TestOneReportBuilder:
             lambda: mixing_entropy(scenario),
             lambda: partition_change_entropy(12, 1.0, 1.0, 2, model, form),
         )
-        build = getattr(mixing, name)
+        owner = mixing if name == "_report" else _scenario
+        build = getattr(owner, name)
         built = []
 
         def refuse(*args):
@@ -642,13 +643,13 @@ class TestOneReportBuilder:
             built.append(build(*args))
             return built[-1]
 
-        monkeypatch.setattr(mixing, name, refuse)
+        monkeypatch.setattr(owner, name, refuse)
         for call in calls[:users]:
             with pytest.raises(AssertionError, match="refused"):
                 call()
         for call in calls[users:]:
             call()
-        monkeypatch.setattr(mixing, name, record)
+        monkeypatch.setattr(owner, name, record)
         for call in calls:
             report = call()
             if name == "_report":
@@ -706,10 +707,23 @@ def _seeded_scenarios():
     yield MixingScenario.from_compartments(comps)
 
 
+def _entry(compartments):
+    """The kept summary entry of ``compartments`` (the newest), or None."""
+    return next((e for e in _scenario._summaries if e[0] is compartments), None)
+
+
+def _wide_pair():
+    """Two scenarios of 1,000 compartments over 50 species each."""
+    *_, wide = _seeded_scenarios()
+    comps = wide.compartments
+    return wide, MixingScenario.from_compartments(comps[500:] + comps[:500])
+
+
 class TestCompartmentSummary:
     """A scenario's compartment checks and columns are summarized once per
-    compartments tuple (mixing._summarize), and reused while that tuple
-    comes back, as it does for replaced scenarios and sweep points."""
+    compartments tuple (_scenario._summarize), and reused while that tuple
+    comes back among the last few summarized, as it does for replaced
+    scenarios, sweep points and scenarios evaluated in turn."""
 
     def test_reused_summary_gives_the_same_bits(self):
         for scenario in _seeded_scenarios():
@@ -730,10 +744,10 @@ class TestCompartmentSummary:
             twins.append(dataclasses.replace(scenario, model=other))
             for twin in twins:
                 mixing_entropy(scenario)
-                last = mixing._last_summary
-                assert last[0] is scenario.compartments
+                entry = _entry(scenario.compartments)
+                assert entry is not None
                 hit = mixing_entropy(twin)
-                assert mixing._last_summary is last
+                assert _entry(scenario.compartments) is entry
                 fresh = mixing_entropy(_rebuilt(twin))
                 assert repr(hit) == repr(fresh), twin
 
@@ -746,35 +760,54 @@ class TestCompartmentSummary:
         summaries = []
         for scenario in (a, b, dataclasses.replace(a), dataclasses.replace(b)):
             assert repr(mixing_entropy(scenario)) == expected
-            tup, summary = mixing._last_summary
-            assert tup is scenario.compartments
-            summaries.append(summary)
-        # the replaced scenarios came after the other tuple: summarized anew
-        assert len({id(s) for s in summaries}) == 4
+            summaries.append(_entry(scenario.compartments)[1])
+        # each replaced scenario finds its own tuple's summary, though the
+        # other tuple was summarized in between
+        assert summaries[2] is summaries[0] and summaries[3] is summaries[1]
+        assert summaries[0] is not summaries[1]
+
+    def test_scenarios_evaluated_in_turn_check_no_compartment_again(self, monkeypatch):
+        a, b = _wide_pair()
+        passes = []
+        items = _check.items
+
+        def counted(name, value):
+            if name == "compartments":
+                passes.append(value)
+            return items(name, value)
+
+        monkeypatch.setattr(_check, "items", counted)
+        reports = [mixing_entropy(s) for s in (a, b, a, b)]
+        assert passes == []
+        assert repr(reports[:2]) == repr(reports[2:])
 
     def test_rejected_tuple_is_not_remembered(self):
         scenario = two_gas_scenario()
         mixing_entropy(scenario)
-        last = mixing._last_summary
+        kept = _scenario._summaries
         hot = (GasCompartment("a", 1, 1.0, 1.0), GasCompartment("b", 1, 1.0, 2.0))
         for _ in range(2):
             with pytest.raises(DomainError, match="isothermal"):
                 MixingScenario(compartments=hot)
-        assert mixing._last_summary is last
+        assert _scenario._summaries is kept
 
-    def test_next_summary_lets_the_last_tuple_go(self):
-        class Tracked(GasCompartment):  # slotted GasCompartment has no weakref
+    def test_summaries_are_bounded_and_let_their_tuples_go(self):
+        class Tracked(GasCompartment):  # GasCompartment's slots have no weakref
             pass
 
         tracked = Tracked("a", 5, 1.0, 1.0)
         alive = weakref.ref(tracked)
         scenario = MixingScenario.from_compartments((tracked,))
         del tracked, scenario
+        for _ in range(_scenario._KEEP - 1):
+            two_gas_scenario()
         gc.collect()
-        assert alive() is not None  # the last summary holds its tuple
+        assert alive() is not None  # a kept summary holds its tuple
+        assert len(_scenario._summaries) == _scenario._KEEP
         two_gas_scenario()
         gc.collect()
         assert alive() is None
+        assert len(_scenario._summaries) == _scenario._KEEP
 
     def test_every_sweep_point_shares_the_base_tuple(self):
         base = load_scenario(ROOT / "scenarios" / "partial_overlap.scenario").scenario
@@ -790,7 +823,7 @@ def _sweep_point(base, q):
 
 
 class TestSweepReports:
-    """mixing._reports at a grid q, as sweep-overlap calls it, gives what
+    """_scenario._reports at a grid q, as sweep-overlap calls it, gives what
     mixing_entropy gives for the scenario rebuilt with every pair at q."""
 
     @staticmethod
@@ -830,7 +863,10 @@ class TestSweepReports:
         for base in self._scenarios(rng, model, form, weighting):
             points = rng.randint(2, 12)
             grid = [i / (points - 1) for i in range(points)] + [rng.random()]
-            reports = list(mixing._reports(base, grid))
+            reports = [
+                mixing._report(base.model, base.stirling_form, *row)
+                for row in _scenario._reports(base, grid)
+            ]
             assert len(reports) == len(grid)
             for q, report in zip(grid, reports):
                 expected = mixing_entropy(_sweep_point(base, q))
@@ -857,7 +893,7 @@ class TestReusedSummaryReachesEveryFormula:
         [
             (StirlingForm, "_remainders", CORRECTED),
             (StirlingForm, "_log_factorials", CORRECTED),
-            (mixing, "_species_term", tuple(CountingModel)),
+            (_scenario, "_species_term", tuple(CountingModel)),
             (mixing, "_report", tuple(CountingModel)),
         ],
         ids=["_remainders", "_log_factorials", "_species_term", "_report"],
@@ -874,10 +910,10 @@ class TestReusedSummaryReachesEveryFormula:
                 comps, model=model, stirling_form=form
             )
             mixing_entropy(scenario)  # unpatched, it succeeds
-            last = mixing._last_summary
+            kept = _scenario._summaries
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, boom)
                 twin = dataclasses.replace(scenario)
                 with pytest.raises(_Sentinel):
                     mixing_entropy(twin)
-            assert mixing._last_summary is last
+            assert _scenario._summaries is kept

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixent import scenario_io
+from mixent import _scenario, scenario_io
 from mixent.combinatorics import StirlingForm
 from mixent.errors import DomainError, ScenarioParseError
 from mixent.mixing import GasCompartment, MixingScenario, SpeciesOverlap, Weighting
@@ -44,12 +44,12 @@ def test_module_docstring_names_every_key_layout_and_choice():
     # the docstring's key list, one line per key, against the key tables
     listed = scenario_io.__doc__.split("Keys, ", 1)[1].split("Example::", 1)[0]
     rows = {line.split()[0]: line for line in listed.splitlines()[1:] if line.strip()}
-    assert rows.keys() == {*scenario_io._SCALARS, *scenario_io._LISTS}
-    for key, row in scenario_io._LISTS.items():
+    assert rows.keys() == {*_scenario._SCALARS, *_scenario._LISTS}
+    for key, row in _scenario._LISTS.items():
         assert f" {row[0]} " in f"{rows[key]} ", key
     for key in ("model", "stirling_form", "weighting"):
         words = set(re.split(r"[\s|]+", rows[key]))
-        assert {member.value for member in scenario_io._SCALARS[key]} <= words, key
+        assert {member.value for member in _scenario._SCALARS[key]} <= words, key
 
 
 class TestParse:
@@ -562,9 +562,9 @@ class TestRoundTrip:
 @pytest.fixture
 def pair_rows(monkeypatch):
     """The ``overlap`` row of the key table, moved under the key ``pair``."""
-    rows = dict(scenario_io._LISTS)
+    rows = dict(_scenario._LISTS)
     rows["pair"] = rows.pop("overlap")
-    monkeypatch.setattr(scenario_io, "_LISTS", rows)
+    monkeypatch.setattr(_scenario, "_LISTS", rows)
 
 
 class TestRowKindIsItsTableRow:
