@@ -16,8 +16,6 @@ whole occupation rule: one count >= 0 per cell, and at least one cell.
 sum beyond the float range stands for.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections.abc import Iterable

@@ -12,8 +12,6 @@ Natural logarithms throughout; entropies derived from these counts are in
 units of k_B (nats).
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -270,7 +268,7 @@ def multiplicity_gibbs_corrected(
 def multiplicity_gibbs_corrected_exact(
     occ: OccupationVector | Iterable[int],
     degeneracies: Sequence[int],
-) -> Fraction:
+) -> "Fraction":
     """Exact rational value of the permutation-corrected multiplicity."""
     from fractions import Fraction  # here only: it loads decimal too
 

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 from . import _EXPORTS
 
 __all__ = [*_EXPORTS["errors"]]

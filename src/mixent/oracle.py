@@ -9,8 +9,6 @@ Runtime is linear in the number of assignments, so hard guards cap the
 problem size before a call can wedge the process.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import Counter

@@ -24,8 +24,6 @@ floats.  ``CountingModel`` is defined in ``_forms`` and ``EntropyResult``
 in ``_result``, which ``mixing`` reads without loading this module.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass

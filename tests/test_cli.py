@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mixent.combinatorics
 from mixent import cli
@@ -672,7 +676,14 @@ class TestOneParserPerProcess:
         ("entropy", "--N", "100", "--T", "1.0", "--V", "2.0"),
     )
 
-    def test_parser_is_built_once(self):
+    def test_parser_is_built_once(self, capsys):
+        # canonical lines build no parser; the usage error, which argparse
+        # decides, builds it the first time and reuses it the second
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert [run(capsys, *argv)[0] for argv in self.ARGVS] == [0, 0, 2, 0]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
         assert cli._build_parser() is cli._build_parser()
 
     def test_back_to_back_calls_match_fresh_processes(self, capsys, monkeypatch):
@@ -690,3 +701,161 @@ class TestOneParserPerProcess:
         together = [run(capsys, *argv) for argv in self.ARGVS]
         assert together == [(p.returncode, p.stdout, p.stderr) for p in alone]
         assert [code for code, _, _ in together] == [0, 0, 2, 0]
+
+
+# The canonical reader against argparse, over command lines drawn from the
+# grammar table itself: canonical ones, and ones perturbed in each way the
+# reader leaves to argparse.
+
+
+def _leaf_parsers():
+    """(argv prefix, arguments) for every parser that takes arguments."""
+    for command, (_, _, arguments) in cli._COMMANDS.items():
+        if arguments is cli._KINDS:
+            for kind, (_, kind_arguments) in cli._KINDS.items():
+                yield [command, kind], kind_arguments
+        else:
+            yield [command], arguments
+
+
+LEAF_PARSERS = list(_leaf_parsers())
+# text most converters reject (no nan, which would not equal itself in a
+# namespace), and values starting with '-', which the reader leaves to argparse
+_ODD_VALUES = ["", "x", "1.5", "1e400", "0:1", "1,2", " 7 ", "a=b", "1_000"]
+_NEGATIVE_VALUES = ["-1", "-1e-05", "-.5", "-inf", "-1:1,0:2", "-x", "--"]
+_INTS = st.integers(0, 60).map(str)
+_VALID_TEXT = {
+    int: _INTS,
+    float: st.floats(0.001, 1e3).map(repr),
+    cli._int_list: st.lists(_INTS, min_size=1, max_size=4).map(",".join),
+    cli._levels: st.lists(
+        st.tuples(st.floats(0, 5).map(repr), _INTS).map(":".join), min_size=1, max_size=4
+    ).map(",".join),
+    None: st.sampled_from(["x.scenario", "scenarios/a b.scenario"]),
+}
+
+
+def _value(keywords):
+    """Text for one slot: mostly what its converter or choices take."""
+    if "choices" in keywords:
+        valid = st.sampled_from(keywords["choices"])
+    else:  # _int_at_least(low) reads an int
+        valid = _VALID_TEXT.get(keywords.get("type"), _INTS)
+    return st.one_of(valid, valid, st.sampled_from(_ODD_VALUES))
+
+
+def _opened(arguments):
+    """(name, keywords) of each argument, groups opened."""
+    for entry in arguments:
+        yield from entry if isinstance(entry, cli._OneOf) else (entry,)
+
+
+def _flags_elsewhere(arguments):
+    return sorted({
+        name
+        for _, others in LEAF_PARSERS if others is not arguments
+        for name, _ in _opened(others)
+        if name.startswith("-")
+    })
+
+
+PERTURBATIONS = (
+    "abbreviate", "equals", "repeat", "negative", "unknown", "missing", "both",
+    "separator", "help", "extra",
+)
+
+
+@st.composite
+def _argv_cases(draw):
+    """[(argv, canonical)]: a command line drawn from the grammar, then that
+    line under each perturbation, each with whether it is canonical with no
+    value starting with '-'."""
+    prefix, arguments = draw(st.sampled_from(LEAF_PARSERS))
+    positionals, pairs, rivals = [], [], []
+    for entry in arguments:
+        grouped = isinstance(entry, cli._OneOf)
+        if grouped:
+            chosen = draw(st.sampled_from(entry))
+            rivals += [other for other in entry if other is not chosen]
+            entry = chosen
+        name, keywords = entry
+        if not name.startswith("-"):
+            positionals.append(draw(_value(keywords)))
+        elif grouped or keywords.get("required") or draw(st.booleans()):
+            pairs.append([name, draw(_value(keywords))])
+    pairs = draw(st.permutations(pairs))
+    cases = []
+    for how in (None, *PERTURBATIONS):
+        at = draw(st.integers(0, 99))
+        them, these = [list(pair) for pair in pairs], list(positionals)
+        if how == "abbreviate" and them:
+            flag = them[at % len(them)][0]
+            them[at % len(them)][0] = flag[: draw(st.integers(3, max(3, len(flag) - 1)))]
+        elif how == "equals" and them:
+            flag, value = them.pop(at % len(them))
+            them.insert(at % (len(them) + 1), [f"{flag}={value}"])
+        elif how == "repeat" and them:
+            flag = them[at % len(them)][0]
+            them.append([flag, draw(_value(dict(_opened(arguments))[flag]))])
+        elif how == "negative":
+            value = draw(st.sampled_from(_NEGATIVE_VALUES))
+            if them:
+                them[at % len(them)][1] = value
+            elif these:
+                these[at % len(these)] = value
+        elif how == "unknown":
+            flag = draw(st.sampled_from(["--bogus", "--verbose", *_flags_elsewhere(arguments)]))
+            them.insert(at % (len(them) + 1), [flag, draw(_value({}))])
+        elif how == "missing" and them:
+            them.pop(at % len(them))
+        elif how == "both" and rivals:
+            name, keywords = rivals[at % len(rivals)]
+            them.append([name, draw(_value(keywords))])
+        argv = [*prefix, *these, *itertools.chain.from_iterable(them)]
+        if how == "separator":
+            argv.insert(1 + at % len(argv), "--")
+        elif how == "help":
+            argv.insert(1 + at % len(argv), draw(st.sampled_from(["--help", "-h"])))
+        elif how == "extra":
+            argv.append(draw(_value({})))
+        values = these + [pair[1] for pair in them if len(pair) == 2]
+        cases.append((argv, how is None and not any(v.startswith("-") for v in values)))
+    return cases
+
+
+def _argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it rejects
+    argv or prints help."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except (cli._UsageError, SystemExit):
+        return None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(cases=_argv_cases())
+def test_canonical_reader_agrees_with_argparse(cases):
+    """Where the reader reads argv, argparse reads it to the same namespace;
+    the reader declines a canonical argv only where argparse rejects it."""
+    for argv, canonical in cases:
+        read = cli._read_canonical(argv)
+        parsed = _argparse_namespace(argv)
+        if read is not None:
+            assert vars(read) == parsed, argv
+        elif canonical:
+            assert parsed is None, argv
+
+
+def test_canonical_reader_reads_every_parser():
+    # per parser, a canonical line that gives every flag it can: read, and
+    # to argparse's namespace
+    for prefix, arguments in LEAF_PARSERS:
+        argv = list(prefix)
+        for name, keywords in _opened(arguments):
+            if name == "--levels":  # --V is given instead
+                continue
+            text = keywords["choices"][0] if "choices" in keywords else "3"
+            argv += [text] if not name.startswith("-") else [name, text]
+        read = cli._read_canonical(argv)
+        assert read is not None and vars(read) == _argparse_namespace(argv), argv

@@ -3,7 +3,9 @@
 numpy, fractions and decimal stay off the import path, and so do typing
 and pathlib.  `import mixent` loads no submodule, and each subcommand
 loads only the modules it runs: `mix` and `sweep-overlap` run the
-scenario core alone, without dataclasses.
+scenario core alone, without dataclasses.  A canonical command line is
+read without argparse (and the gettext, locale and shutil it brings) or
+`__future__`; `--help` and usage errors still go through argparse.
 The package's names resolve lazily to the same objects as before.
 
 Each import check runs in a fresh interpreter, because this test process
@@ -107,6 +109,10 @@ LOADED_BY = {
 # dataclasses imports inspect, and inspect about ten more modules; the
 # scenario subcommands load neither, the others load both
 DATACLASSES = "dataclasses,inspect"
+# argparse imports gettext, which loads locale on its first lookup; no
+# module a call runs imports __future__.  argparse's HelpFormatter also
+# imports shutil, which site here preloads, so shutil is watched under -S
+ARGPARSE = "argparse,gettext,locale,__future__"
 SCENARIO_SUBCOMMANDS = ("mix-csv", "mix-json", "sweep-overlap")
 
 
@@ -115,7 +121,7 @@ def _probe(name: str | None) -> tuple[str, ...]:
     """The probe's lines for one subcommand (None: bare import), watching
     every module the tests below ask about: one interpreter per subcommand."""
     argv = SUBCOMMANDS[name] if name else ()
-    watched = f"numpy,{EXACT_ARITHMETIC},{FOOTPRINT},{DATACLASSES}"
+    watched = f"numpy,{EXACT_ARITHMETIC},{FOOTPRINT},{DATACLASSES},{ARGPARSE}"
     return tuple(_run_probe(MODULES_PROBE, watched, *argv))
 
 
@@ -163,6 +169,64 @@ def test_cli_subcommand_loads_only_what_it_runs(name):
 def test_only_the_scenario_subcommands_skip_dataclasses(name):
     loaded = "-" if name in SCENARIO_SUBCOMMANDS else DATACLASSES
     assert _seen(name, DATACLASSES) == ["import -", f"main 0 {loaded}"]
+
+
+# every SUBCOMMANDS line is canonical, so main() reads it without argparse
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_canonical_call_loads_no_argparse_or_future(name):
+    assert _seen(name, ARGPARSE) == ["import -", "main 0 -"]
+
+
+# -S keeps site from preloading shutil
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_canonical_call_loads_no_shutil_without_site(name):
+    watched = f"{ARGPARSE},shutil"
+    lines = _run_probe(MODULES_PROBE, watched, *SUBCOMMANDS[name], flags=("-S",))
+    assert lines == ["import -", "main 0 -"]
+
+
+# runs main(argv[1:]) and prints its code (or SystemExit's) and whether
+# argparse is loaded, then what it wrote to stdout and to stderr
+PARSER_PROBE = """
+import contextlib, io, sys
+from mixent.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+print(code, "argparse" in sys.modules)
+print(out.getvalue() + "|" + err.getvalue(), end="")
+"""
+
+COUNT_HELP = """\
+usage: mixent count [-h] {binomial,bose,bose-approx,symbols,multiplicity} ...
+
+positional arguments:
+  {binomial,bose,bose-approx,symbols,multiplicity}
+
+options:
+  -h, --help            show this help message and exit
+|"""
+
+
+# argparse still decides every command line that is not canonical: help
+# exits 0 with its text on stdout, a usage error returns 2 with one line
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("count", "--help"), ["0 True", *COUNT_HELP.splitlines()]),
+        (("mix",), [
+            "2 True",
+            "|usage error: mixent mix: the following arguments are required: --scenario",
+        ]),
+    ],
+    ids=["help", "usage-error"],
+)
+def test_help_and_usage_errors_still_run_argparse(argv, expected, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal width
+    assert _run_probe(PARSER_PROBE, *argv) == expected
 
 
 # imports the module argv[1] names and prints which of the modules named in

@@ -1,9 +1,10 @@
 """README's examples run as written and give the values their comments state.
 
-Each line of the "Command line" block goes through ``main()`` from the
-repository root and exits 0.  Each ``python`` block of "Library tour" runs
-statement by statement, and every expression with a trailing comment is
-checked against what that comment says.
+Each line of the "Command line" block is canonical, so it is read without
+argparse, and goes through ``main()`` from the repository root and exits
+0.  Each ``python`` block of "Library tour" runs statement by statement,
+and every expression with a trailing comment is checked against what
+that comment says.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from mixent import cli
 from mixent.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +80,7 @@ def test_command_line_example_exits_0(line, monkeypatch, capsys):
     monkeypatch.delenv("MIXENT_KB", raising=False)
     program, *argv = shlex.split(line)
     assert program == "mixent"
+    assert cli._read_canonical(argv) is not None
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out and not captured.err
