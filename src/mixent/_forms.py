@@ -3,9 +3,9 @@
 The Stirling forms of ln n!, the counting models, and the three rules on
 them that mixing needs (``_log_multinomial``, ``_ideal_gas_S`` and the
 entropy result check ``_entropy``).  They live here, apart from the rest
-of ``combinatorics`` and ``statmech``, so that ``mixing``, the scenario
-core (``_scenario``) and the CLI's parser load them without loading those
-two modules, and without ``dataclasses``.  Those modules re-export them,
+of ``combinatorics`` and ``statmech``, so that the scenario core
+(``_scenario``) and the CLI's parser load them without loading those two
+modules, and without ``dataclasses``.  Those modules re-export them,
 and each class names its public home as its ``__module__`` (``_publish``),
 so pickles and ``help()`` read as before.
 """
@@ -167,12 +167,9 @@ def _publish(home: str, *objects: object) -> None:
     ``home`` is one string object per module: a pickle memoizes the name
     of each class it writes by identity, so the classes of one home must
     share it, as the classes defined in the home share its ``__name__``.
-    A class must be complete first: while it decorates a class,
-    dataclasses reads sys.modules[cls.__module__], and the home may not be
-    loaded yet (an AttributeError on 3.11).  3.13's __firstlineno__ counts
-    lines of the defining file, but inspect.getsource reads them in the
-    home's; without it getsource raises OSError instead of returning
-    another object's lines.
+    3.13's __firstlineno__ counts lines of the defining file, but
+    inspect.getsource reads them in the home's; without it getsource
+    raises OSError instead of returning another object's lines.
     """
     for obj in objects:
         obj.__module__ = home

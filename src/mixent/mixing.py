@@ -17,15 +17,12 @@ the interesting paradoxes live:
 Reduced units: k_B = 1, entropies in nats, work in T-units of energy.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _EXPORTS, _check
 from ._forms import CountingModel, StirlingForm, _entropy, _ideal_gas_S, _publish
-from ._result import EntropyResult
 from ._scenario import (
     Compartment,
     Overlap,
@@ -37,6 +34,7 @@ from ._scenario import (
     separation_work,
 )
 from .errors import DomainError
+from .statmech import EntropyResult
 
 __all__ = [*_EXPORTS["mixing"]]
 

@@ -41,8 +41,6 @@ DomainError from the scenario constructors instead; the CLI maps the two
 cases to different exit codes.
 """
 
-from __future__ import annotations
-
 import os
 from dataclasses import dataclass
 

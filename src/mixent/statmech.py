@@ -20,8 +20,8 @@ entropy exactly extensive.
 The level arithmetic is plain ``math`` over Python lists: ensembles are a
 handful to ten thousand levels, where numpy's import costs more than it
 saves.  numpy is not a dependency: :func:`occupations` returns a tuple of
-floats.  ``CountingModel`` is defined in ``_forms`` and ``EntropyResult``
-in ``_result``, which ``mixing`` reads without loading this module.
+floats.  ``CountingModel`` is defined in ``_forms``, which the CLI's
+parser reads without loading this module.
 """
 
 import math
@@ -30,11 +30,24 @@ from dataclasses import dataclass
 
 from . import _EXPORTS, _check
 from ._check import _FLOAT_OVERFLOW, _INF
-from ._forms import CountingModel, StirlingForm, _entropy, _ideal_gas_S
-from ._result import EntropyResult
+from ._forms import CountingModel, StirlingForm, _entropy, _ideal_gas_S, _publish
 from .errors import DomainError
 
 __all__ = [*_EXPORTS["statmech"]]
+
+# _forms defines CountingModel; it names this module as its home with its
+# own name string, which the classes defined here share
+_publish(__name__, CountingModel)
+
+
+@dataclass(frozen=True)
+class EntropyResult:
+    """Entropy in units of k_B, tagged with how it was counted."""
+
+    S: float
+    per_particle: float
+    model: CountingModel
+    stirling_form: StirlingForm
 
 
 @dataclass(frozen=True, init=False, slots=True)

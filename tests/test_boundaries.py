@@ -560,7 +560,8 @@ def _main_output(argv):
 
 def _assert_exit_code_contract(argv, context):
     """main(argv) in-process returns 0, 1 or 2, with no stderr on 0 and one
-    line otherwise; an exception out of main() fails the property."""
+    line otherwise; an exception out of main() fails the property.  Returns
+    the code."""
     code, _, err = _main_output(argv)
     assert code in (0, 1, 2), (argv, context)
     assert "Traceback" not in err, (argv, context)
@@ -568,6 +569,7 @@ def _assert_exit_code_contract(argv, context):
         assert err == "", (argv, context, err)
     else:
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, context, err)
+    return code
 
 
 # ints as a command line gives them: small and signed, either side of the
@@ -674,3 +676,70 @@ def test_a_spaced_number_reads_as_after_equals(argv):
     with mock.patch.dict(os.environ):
         os.environ.pop("MIXENT_KB", None)
         assert _main_output(argv) == _main_output(joined), argv
+
+
+# numbers at each scenario slot's domain guards; ordinary numbers fill most
+# slots, so that some files evaluate
+_GUARD_N = ["0", "-1", str(EDGE), str(2**1024), DIGITS]
+_GUARD_FLOAT = ["0", "-0.0", "-1", "5e-324", "1e308", "1.7976931348623157e308", "inf", "nan"]
+_GUARD_Q = ["-0.0", "1.0000000000000002", "nan"]
+
+
+def _at_guard(draw, guards, ordinary):
+    """One of ``guards`` one time in eight, else a draw of ``ordinary``."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.sampled_from(guards))
+    return draw(ordinary)
+
+
+@st.composite
+def _guarded_scenarios(draw):
+    """Well-formed scenario text with numbers at the domain guards: one to
+    three species over up to four compartments, at times one at another T;
+    a final volume left out, the summed volume, that sum off by 1e-9
+    relative, or a guard; and overlap rows between held species only,
+    three species at unequal overlaps."""
+    lines = [
+        f"{key} = {draw(st.sampled_from(list(enum))).value}"
+        for key, enum in (
+            ("model", CountingModel),
+            ("stirling_form", StirlingForm),
+            ("weighting", Weighting),
+        )
+        if draw(st.booleans())
+    ]
+    species = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    T = draw(st.floats(0.1, 10.0))
+    volume = 0.0
+    for i in range(draw(st.integers(len(species), 4))):
+        name = species[i] if i < len(species) else draw(st.sampled_from(species))
+        N = _at_guard(draw, _GUARD_N, st.integers(1, 10**6).map(str))
+        V = _at_guard(draw, _GUARD_FLOAT, st.floats(0.05, 8.0).map(repr))
+        t = _at_guard(draw, [repr(2.0 * T), *_GUARD_FLOAT], st.just(repr(T)))
+        volume += float(V)
+        lines.append(f"compartment = {name} {N} {V} {t}")
+    off = repr(volume * (1.0 + 1e-9))
+    final = _at_guard(draw, [off, *_GUARD_FLOAT], st.sampled_from([None, repr(volume)]))
+    if final is not None:
+        lines.append(f"final_volume = {final}")
+    for a, b in itertools.combinations(species, 2):
+        if draw(st.integers(0, 3)):  # a pair left out has overlap 0
+            q = _at_guard(draw, _GUARD_Q, st.floats(0.0, 1.0).map(repr))
+            lines.append(f"overlap = {a} {b} {q}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(text=_guarded_scenarios())
+def test_guarded_scenario_files_exit_0_or_1_and_paths_agree(text):
+    """Numbers at the domain guards in well-formed scenario files: mix,
+    mix --format json and sweep-overlap --points 3 exit 0 or 1 (never 2,
+    a parse error) under the contract, and the CLI's and the library's
+    paths agree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "guarded.scenario")
+        path.write_text(text, encoding="utf-8")
+        for argv in (["mix"], ["mix", "--format", "json"], ["sweep-overlap", "--points", "3"]):
+            argv = [*argv, "--scenario", str(path)]
+            assert _assert_exit_code_contract(argv, text) != 2, (argv, text)
+    _assert_paths_agree(text)
